@@ -2,7 +2,8 @@
 #
 #   make            vet + build + test (the tier-1 gate)
 #   make ci         everything CI runs: vet, build, race-detector suite,
-#                   and the decoder fuzz seed corpus
+#                   the decoder fuzz seed corpus, docs lint, the
+#                   benchmark self-test and the mechanism smoke
 #   make test-race  full suite under the race detector
 #   make bench      regenerate every figure at experiment scale
 #   make bench-json refresh BENCH_sim.json (wall-clock + allocs/op) on this
@@ -31,13 +32,17 @@
 #   make golden-update regenerate every golden pin in one command: the
 #                   serial and sliced golden stats snapshots plus the
 #                   BENCH_sim.json perf ledger
+#   make bench-selftest run the repository benchmark's own tests
+#                   (gpubench/, a separate module): they replay the
+#                   internal APIs the benchmark drives, so an API change
+#                   that would break the benchmark fails here
 #   make docs-lint  fail on undocumented exported identifiers, internal
 #                   packages missing a doc.go package comment, and HTTP
 #                   routes missing from OPERATIONS.md
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-json perf-smoke multi-smoke controller-smoke mech-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint ci
+.PHONY: all build vet test test-race bench bench-json bench-selftest perf-smoke multi-smoke controller-smoke mech-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint ci
 
 all: vet build test
 
@@ -120,10 +125,17 @@ golden:
 # "current" section on this machine.
 golden-update: golden bench-json
 
+# bench-selftest runs gpubench's tests. gpubench is its own module (its
+# go.mod replaces gputlb with ../), so `go test ./...` at the root never
+# builds it; without this target an internal API change could break the
+# benchmark silently.
+bench-selftest:
+	$(GO) -C gpubench test ./...
+
 # docs-lint layers cmd/doclint's conventions (documented exports in the
 # public package, doc.go in every internal package, package comments on
 # commands) on top of go vet.
 docs-lint: vet
 	$(GO) run ./cmd/doclint .
 
-ci: vet build test-race fuzz-seeds docs-lint mech-smoke
+ci: vet build test-race fuzz-seeds docs-lint bench-selftest mech-smoke

@@ -105,6 +105,11 @@ type activeRun struct {
 	// leases maps a cell index to the workers currently holding it and
 	// when each lease was granted.
 	leases map[int]map[string]time.Time
+	// unjournaled counts outcome batches already marked in jb.completed or
+	// jb.failed whose journal appends and cache puts run outside the lock.
+	// The job must not finalize until it is zero: finalizing closes the
+	// journal under those appends, and a warm rerun would miss the cache.
+	unjournaled int
 }
 
 // fabricMetrics are the coordinator's operational counters.
@@ -343,8 +348,10 @@ func (c *Coordinator) step() {
 	c.expireWorkersLocked(now)
 	cacheHits = c.activateLocked()
 	batches := c.planLocked(now)
+	run := c.holdLocked(cacheHits)
 	c.mu.Unlock()
 	c.appendOutcomes(cacheHits)
+	c.release(run)
 	for _, b := range batches {
 		go c.dispatch(b)
 	}
@@ -660,28 +667,51 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 		}
 		appends = append(appends, ja)
 	}
+	run := c.holdLocked(appends)
 	c.mu.Unlock()
 
-	if err := c.appendOutcomes(appends); err != nil {
+	err := c.appendOutcomes(appends)
+	c.release(run)
+	if err != nil {
 		return err
-	}
-	for _, ja := range appends {
-		if ja.result != nil && ja.cacheKey != "" {
-			c.cache.Put(ja.cacheKey, *ja.result)
-		}
 	}
 	c.maybeFinalize()
 	c.kickLoop()
 	return nil
 }
 
-// appendOutcomes writes deferred journal records; on failure the
-// corresponding in-memory marks are reverted so a retry can re-journal.
+// holdLocked keeps the active job from finalizing while appends, which
+// the caller has just marked under the lock, are written. It returns the
+// run to pass to release, nil when there is nothing to hold.
+func (c *Coordinator) holdLocked(appends []journalAppend) *activeRun {
+	if len(appends) == 0 {
+		return nil
+	}
+	c.active.unjournaled++
+	return c.active
+}
+
+// release ends a holdLocked hold.
+func (c *Coordinator) release(run *activeRun) {
+	if run == nil {
+		return
+	}
+	c.mu.Lock()
+	run.unjournaled--
+	c.mu.Unlock()
+}
+
+// appendOutcomes writes deferred journal records, feeding each journaled
+// result with a cacheKey into the cache; on failure the corresponding
+// in-memory marks are reverted so a retry can re-journal.
 func (c *Coordinator) appendOutcomes(appends []journalAppend) error {
 	for i, ja := range appends {
 		var err error
 		if ja.result != nil {
 			err = ja.journal.AppendCell(ja.index, ja.attempts, ja.worker, *ja.result)
+			if err == nil && ja.cacheKey != "" {
+				c.cache.Put(ja.cacheKey, *ja.result)
+			}
 		} else {
 			err = ja.journal.AppendFail(ja.index, ja.attempts, ja.worker, ja.errMsg)
 		}
@@ -712,7 +742,7 @@ func (c *Coordinator) maybeFinalize() {
 		return
 	}
 	jb := a.jb
-	if len(jb.completed)+len(jb.failed) < len(jb.spec.Cells) {
+	if a.unjournaled > 0 || len(jb.completed)+len(jb.failed) < len(jb.spec.Cells) {
 		c.mu.Unlock()
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,12 +99,19 @@ func startWorker(t *testing.T, coordinatorURL string) *testWorker {
 // startCoordinator brings up a coordinator behind an HTTP server.
 func startCoordinator(t *testing.T, opt CoordinatorOptions) (*Coordinator, *httptest.Server) {
 	t.Helper()
+	return startCoordinatorWrapped(t, opt, func(h http.Handler) http.Handler { return h })
+}
+
+// startCoordinatorWrapped is startCoordinator with wrap around the
+// coordinator's handler.
+func startCoordinatorWrapped(t *testing.T, opt CoordinatorOptions, wrap func(http.Handler) http.Handler) (*Coordinator, *httptest.Server) {
+	t.Helper()
 	c, err := NewCoordinator(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(wrap(c.Handler()))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -216,37 +224,37 @@ func TestFabricSmoke(t *testing.T) {
 	spec := testJobSpec()
 	want := singleDaemonResult(t, spec)
 
-	c, srv := startCoordinator(t, fastOpts(t.TempDir()))
+	// Kill the second worker once the job is demonstrably mid-flight: right
+	// after the coordinator ingests the first result flush (at most
+	// FlushSize of the spec's cells), before it takes any other. Polling
+	// the job's status for that window instead races the job: at this
+	// scale it can finish between two polls.
+	var victim atomic.Pointer[testWorker]
+	var resultsMu sync.Mutex
+	var killOnce sync.Once
+	c, srv := startCoordinatorWrapped(t, fastOpts(t.TempDir()), func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/results" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			resultsMu.Lock()
+			defer resultsMu.Unlock()
+			h.ServeHTTP(w, r)
+			killOnce.Do(func() { victim.Load().kill() })
+		})
+	})
 	w1 := startWorker(t, srv.URL)
 	defer w1.stop()
 	w2 := startWorker(t, srv.URL)
 	defer w2.srv.Close() // w2.kill below severs it; just free the port listener state
+	victim.Store(w2)
 
 	cl := &jobs.Client{BaseURL: srv.URL}
 	id, err := cl.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill the second worker once the job is demonstrably mid-flight:
-	// at least one cell done, not all.
-	killDeadline := time.Now().Add(120 * time.Second)
-	for {
-		st, err := cl.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CellsDone >= 1 && st.CellsDone < st.Cells {
-			break
-		}
-		if st.State == jobs.StateDone {
-			t.Skip("job finished before the kill point; scale too small to exercise mid-job death")
-		}
-		if time.Now().After(killDeadline) {
-			t.Fatalf("no progress: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	w2.kill()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -563,5 +571,47 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	if rec, _ := c2.MetricsSnapshot().CounterAt("fabric/cells_recovered"); rec < int64(recoveredAtLeast) {
 		t.Errorf("cells_recovered = %d, want >= %d (journaled before restart)", rec, recoveredAtLeast)
+	}
+}
+
+// TestFinalizeWaitsForUnjournaledOutcomes pins the ordering between
+// ingestOutcomes and maybeFinalize. Outcomes are marked completed under
+// the lock but journaled and cached after it is released; until that
+// finishes the job must stay open. Finalizing earlier closes the journal
+// under the pending appends and marks the job done before its results
+// reach the cache, so an immediate warm rerun re-dispatches cells.
+func TestFinalizeWaitsForUnjournaledOutcomes(t *testing.T) {
+	c, err := NewCoordinator(fastOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(jobs.JobSpec{Name: "hold", Benchmarks: []string{"atax", "bicg"}, Configs: []string{"baseline"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.step() // activates the job; with no workers every cell stays pending
+
+	c.mu.Lock()
+	a := c.active
+	var appends []journalAppend
+	for i, cell := range a.jb.spec.Cells {
+		res := jobs.CellResult{Bench: cell.Bench, Config: cell.Config, Cycles: int64(100 + i)}
+		a.jb.completed[i] = res
+		appends = append(appends, journalAppend{journal: a.journal, index: i, attempts: 1, worker: "w", result: &res, cacheKey: CellKey(cell)})
+	}
+	run := c.holdLocked(appends)
+	c.mu.Unlock()
+
+	c.maybeFinalize()
+	if st, _ := c.Job(id); st.State != jobs.StateRunning {
+		t.Fatalf("job %s while its outcomes were unjournaled, want running", st.State)
+	}
+	if err := c.appendOutcomes(appends); err != nil {
+		t.Fatal(err)
+	}
+	c.release(run)
+	c.maybeFinalize()
+	if st, _ := c.Job(id); st.State != jobs.StateDone {
+		t.Fatalf("job %s (%s) after its outcomes were journaled, want done", st.State, st.Error)
 	}
 }

@@ -727,8 +727,9 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 	sh := sm.shard
 	st := &sh.tenants[tn.asid]
 
-	pages := trace.CoalescePagesInto(sm.pageBuf, in.Addrs, s.pageShift)
-	sm.pageBuf = pages
+	co := &sm.co
+	co.Coalesce(in.Addrs, s.lineShift, s.pageShift)
+	pages := co.Pages
 	sh.pageReqs += int64(len(pages))
 	st.pageReqs += int64(len(pages))
 
@@ -782,9 +783,7 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 		return 0, true
 	}
 
-	lines := trace.CoalesceLinesInto(sm.lineBuf, in.Addrs, s.cfg.L1Cache.LineBytes)
-	sm.lineBuf = lines
-	sh.lineReqs += int64(len(lines))
+	sh.lineReqs += int64(len(co.Lines))
 	linesPerPage := s.pageShift - s.lineShift
 	instDone := sh.clock + 1
 	for _, pp := range pend {
@@ -793,15 +792,8 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 		}
 	}
 	var pi *pendingInst
-	for _, line := range lines {
-		vpn := vm.VPN(line >> linesPerPage)
-		var pd pendPage
-		for i := range pend {
-			if pend[i].vpn == vpn {
-				pd = pend[i]
-				break
-			}
-		}
+	for i, line := range co.Lines {
+		pd := &pend[co.LinePage[i]]
 		phys := cache.LineAddr(uint64(pd.ppn)<<linesPerPage | uint64(line)&(1<<linesPerPage-1))
 		// VIPT: every page hit the L1 TLB, so every line's data access
 		// starts at issue.
@@ -842,20 +834,13 @@ func (s *Simulator) shardResume(ws *warpState) {
 	sh := sm.shard
 	pi := ws.pi
 
-	lines := trace.CoalesceLinesInto(sm.lineBuf, pi.in.Addrs, s.cfg.L1Cache.LineBytes)
-	sm.lineBuf = lines
-	sh.lineReqs += int64(len(lines))
+	co := &sm.co
+	co.Coalesce(pi.in.Addrs, s.lineShift, s.pageShift)
+	sh.lineReqs += int64(len(co.Lines))
 	linesPerPage := s.pageShift - s.lineShift
 	instDone := sh.clock + 1
-	for _, line := range lines {
-		vpn := vm.VPN(line >> linesPerPage)
-		var pd pendPage
-		for i := range pi.pages {
-			if pi.pages[i].vpn == vpn {
-				pd = pi.pages[i]
-				break
-			}
-		}
+	for i, line := range co.Lines {
+		pd := &pi.pages[co.LinePage[i]]
 		phys := cache.LineAddr(uint64(pd.ppn)<<linesPerPage | uint64(line)&(1<<linesPerPage-1))
 		if sm.l1cache.Access(phys) {
 			done := sh.clock + engine.Cycle(s.cfg.L1Cache.HitLatency)

@@ -103,7 +103,6 @@ type inflight struct {
 // pageDone is one coalesced page's resolved translation within a memory
 // instruction; executeMem fills a reused buffer of these per issue.
 type pageDone struct {
-	vpn  vm.VPN
 	ppn  vm.PPN
 	done engine.Cycle
 	hit  bool
@@ -161,8 +160,7 @@ type smState struct {
 	// workers never share a buffer: one coalesced memory instruction
 	// produces at most WarpSize pages/lines, so these are sized once and
 	// reused for every instruction the SM issues.
-	pageBuf  []vm.VPN
-	lineBuf  []vm.Addr
+	co       trace.Coalesced
 	transBuf []pageDone
 	pickBuf  []vm.VPN // trans-aware warp scheduler's residency probes
 	orderBuf []int
@@ -473,6 +471,7 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		Replacement:           cfg.TLBReplacement,
 		Mech:                  mechSpec,
 	}
+	coalescers := trace.NewCoalescers(cfg.NumSMs, arch.WarpSize)
 	for i := 0; i < cfg.NumSMs; i++ {
 		smID := i
 		opt := l1opt
@@ -509,8 +508,7 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 			slots:        make([]slotState, slots),
 			inflight:     newInflightTable(cfg.TranslationMSHRs),
 			missHandlers: make([]engine.Cycle, cfg.TranslationMSHRs),
-			pageBuf:      make([]vm.VPN, 0, arch.WarpSize),
-			lineBuf:      make([]vm.Addr, 0, arch.WarpSize),
+			co:           coalescers[i],
 			transBuf:     make([]pageDone, arch.WarpSize),
 			pickBuf:      make([]vm.VPN, 0, arch.WarpSize),
 			pendBuf:      make([]pendPage, 0, arch.WarpSize),
@@ -1040,8 +1038,9 @@ func (s *Simulator) scheduleDispatch() {
 // translation completes. The warp blocks until the slowest request.
 func (s *Simulator) executeMem(ws *warpState, in trace.Inst) engine.Cycle {
 	sm, slot, tn := ws.sm, ws.slot, ws.tn
-	pages := trace.CoalescePagesInto(sm.pageBuf, in.Addrs, s.pageShift)
-	sm.pageBuf = pages
+	co := &sm.co
+	co.Coalesce(in.Addrs, s.lineShift, s.pageShift)
+	pages := co.Pages
 	s.pageRequests.Add(int64(len(pages)))
 	tn.pageReqs += int64(len(pages))
 
@@ -1049,26 +1048,17 @@ func (s *Simulator) executeMem(ws *warpState, in trace.Inst) engine.Cycle {
 	instDone := s.clock + 1
 	for i, vpn := range pages {
 		ppn, done, hit := s.translate(tn, sm, slot, vpn)
-		trans[i] = pageDone{vpn, ppn, done, hit}
+		trans[i] = pageDone{ppn, done, hit}
 		s.recordTranslationLatency(done - s.clock)
 		if done > instDone {
 			instDone = done
 		}
 	}
 
-	lines := trace.CoalesceLinesInto(sm.lineBuf, in.Addrs, s.cfg.L1Cache.LineBytes)
-	sm.lineBuf = lines
-	s.lineRequests.Add(int64(len(lines)))
+	s.lineRequests.Add(int64(len(co.Lines)))
 	linesPerPage := s.pageShift - s.lineShift
-	for _, line := range lines {
-		vpn := vm.VPN(line >> linesPerPage)
-		var pd pageDone
-		for _, t := range trans {
-			if t.vpn == vpn {
-				pd = t
-				break
-			}
-		}
+	for i, line := range co.Lines {
+		pd := trans[co.LinePage[i]]
 		phys := cache.LineAddr(uint64(pd.ppn)<<linesPerPage | uint64(line)&(1<<linesPerPage-1))
 		// VIPT: on an L1 TLB hit the cache is indexed in parallel with the
 		// lookup, so the data access starts immediately; a miss must wait

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"gputlb/internal/arch"
 	"gputlb/internal/vm"
@@ -158,6 +159,80 @@ func CoalescePagesInto(dst []vm.VPN, addrs []vm.Addr, pageShift uint) []vm.VPN {
 	}
 	return dst
 }
+
+// Coalesced is one warp memory instruction's coalescer output, in reusable
+// buffers: the distinct lines, the distinct pages, and each line's page.
+// The zero value is ready to use; after the buffers have grown to a warp's
+// worth of lanes, Coalesce never allocates.
+type Coalesced struct {
+	Lines    []vm.Addr // distinct line addresses, first-occurrence order
+	Pages    []vm.VPN  // distinct pages, first-occurrence order
+	LinePage []int     // LinePage[i] indexes Pages with Lines[i]'s page
+}
+
+// NewCoalescers returns n Coalesced whose buffers hold lanes entries each
+// without growing, carved from one backing array per buffer so a simulator
+// with one coalescer per SM pays three allocations, not three per SM.
+func NewCoalescers(n, lanes int) []Coalesced {
+	lines := make([]vm.Addr, n*lanes)
+	pages := make([]vm.VPN, n*lanes)
+	linePage := make([]int, n*lanes)
+	cs := make([]Coalesced, n)
+	for i := range cs {
+		lo, hi := i*lanes, (i+1)*lanes
+		cs[i] = Coalesced{Lines: lines[lo:lo:hi], Pages: pages[lo:lo:hi], LinePage: linePage[lo:lo:hi]}
+	}
+	return cs
+}
+
+// Coalesce coalesces addrs in one pass: the lanes into distinct lines
+// (CoalesceLines with 1<<lineShift-byte lines), then the pages from those
+// lines. Because a line lies inside one page (lineShift <= pageShift), the
+// first lane on a page is also the first lane on its line, so Pages is in
+// the same order as CoalescePages(addrs, pageShift).
+func (c *Coalesced) Coalesce(addrs []vm.Addr, lineShift, pageShift uint) {
+	lines, pages, linePage := c.Lines[:0], c.Pages[:0], c.LinePage[:0]
+	// Masked shift counts spare each shift Go's oversized-count branch.
+	linesPerPage := (pageShift - lineShift) & 63
+	lineShift &= 63
+	// seenLines and seenPages are one-word Bloom filters over what has
+	// been emitted: a value whose bit is clear is new without a scan, which
+	// keeps gathers linear. Neighbouring lanes mostly share a line, and
+	// neighbouring lines a page, so the latest entry is checked first.
+	var seenLines, seenPages uint64
+	for _, a := range addrs {
+		line := a >> lineShift
+		if n := len(lines); n > 0 && lines[n-1] == line {
+			continue
+		}
+		bit := bloomBit(uint64(line))
+		if seenLines&bit != 0 && slices.Contains(lines, line) {
+			continue
+		}
+		seenLines |= bit
+		lines = append(lines, line)
+
+		p := vm.VPN(line >> linesPerPage)
+		pi := len(pages) - 1
+		if pi < 0 || pages[pi] != p {
+			pi = -1
+			bit := bloomBit(uint64(p))
+			if seenPages&bit != 0 {
+				pi = slices.Index(pages, p)
+			}
+			if pi < 0 {
+				seenPages |= bit
+				pi = len(pages)
+				pages = append(pages, p)
+			}
+		}
+		linePage = append(linePage, pi)
+	}
+	c.Lines, c.Pages, c.LinePage = lines, pages, linePage
+}
+
+// bloomBit is v's bit in a 64-bit Bloom filter (a Fibonacci hash).
+func bloomBit(v uint64) uint64 { return 1 << (v * 0x9E3779B97F4A7C15 >> 58) }
 
 func uintLog2(v int) uint {
 	var n uint
