@@ -16,22 +16,19 @@
 #                   quick check that ASID plumbing, tenant partitioning and
 #                   the interference reporting still hold together
 #   make controller-smoke run the tenant-churn grid (controller included)
-#                   end to end on the sharded engine under the race detector
+#                   end to end under the race detector
 #   make mech-smoke run the translation-mechanism study (sub-entry sharing,
 #                   dead-entry prediction, contiguity-aware large-reach) end
-#                   to end on the sharded + sliced engine under the race
-#                   detector
+#                   to end under the race detector
 #   make fabric-smoke run the distributed-sweep drill under the race
 #                   detector: a coordinator with two in-process workers,
 #                   one killed mid-job, asserting the result file is
 #                   byte-identical to a single-daemon run
 #   make fuzz       a short decoder fuzz run
-#   make golden     refresh the golden stats snapshots (serial and sliced)
-#                   after an intentional timing-model change (inspect the
-#                   diff before committing)
+#   make golden     refresh the golden stats snapshot after an intentional
+#                   timing-model change (inspect the diff before committing)
 #   make golden-update regenerate every golden pin in one command: the
-#                   serial and sliced golden stats snapshots plus the
-#                   BENCH_sim.json perf ledger
+#                   golden stats snapshot plus the BENCH_sim.json perf ledger
 #   make bench-selftest run the repository benchmark's own tests
 #                   (gpubench/, a separate module): they replay the
 #                   internal APIs the benchmark drives, so an API change
@@ -68,35 +65,32 @@ bench-json:
 
 # perf-smoke skips the Eval-sweep wall-clock measurement (machine-dependent)
 # and gates allocs per simulated instruction (fails on >2x vs the committed
-# numbers), a coarse per-instruction time band (fails on >3x the committed
+# numbers) and a coarse per-instruction time band (fails on >3x the committed
 # ns/inst — wide enough for machine noise, tight enough to catch a hot-path
-# blowup), and the sharded engine's shard-vs-barrier work split (fails if the
-# parallel fraction or its Amdahl projection drop below the pinned floors).
+# blowup).
 perf-smoke:
 	$(GO) run ./cmd/perfgate -check -skip-sweep -o BENCH_sim.json
 
 # multi-smoke exercises the multi-tenant path end to end at a small scale:
-# one benchmark pair across the full {TLB mode} x {SM assignment} grid, on
-# the sharded intra-cell engine with the address-sliced barrier under the
-# race detector — the quick check that the epoch-barrier protocol and the
-# concurrent per-slice passes stay race-clean on the full tenancy grid.
+# one benchmark pair across the full {TLB mode} x {SM assignment} grid under
+# the race detector — the quick check that the cells running concurrently on
+# the internal/parallel pool stay race-clean on the full tenancy grid.
 multi-smoke:
-	$(GO) run -race ./cmd/evaluate -fig multi -bench bfs,atax -scale 0.1 -cell-parallel 8 -l2-slices 4
+	$(GO) run -race ./cmd/evaluate -fig multi -bench bfs,atax -scale 0.1
 
 # controller-smoke exercises the closed-loop partitioning controller under
 # tenant churn end to end: every L2 TLB tenancy mode — the online controller
-# included — with mid-run arrivals through the bounded admission queue, on
-# the sharded intra-cell engine with the address-sliced barrier under the
-# race detector.
+# included — with mid-run arrivals through the bounded admission queue,
+# under the race detector.
 controller-smoke:
-	$(GO) run -race ./cmd/evaluate -fig churn -bench bfs,atax -scale 0.1 -cell-parallel 8 -l2-slices 4
+	$(GO) run -race ./cmd/evaluate -fig churn -bench bfs,atax -scale 0.1
 
 # mech-smoke exercises the pluggable translation mechanisms end to end: every
 # mechanism (base, subentry, deadblock, largereach + the contig allocator)
-# solo and on a shared-L2 co-run, through the evaluate CLI, on the sharded
-# intra-cell engine with the address-sliced barrier under the race detector.
+# solo and on a shared-L2 co-run, through the evaluate CLI under the race
+# detector.
 mech-smoke:
-	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1 -cell-parallel 4 -l2-slices 2
+	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1
 
 # fabric-smoke is the distributed-sweep drill: coordinator + two
 # in-process workers over real HTTP, one worker killed mid-job (dispatch
@@ -114,15 +108,13 @@ fuzz:
 fuzz-seeds:
 	$(GO) test -run FuzzReadKernel ./internal/trace/
 
-# golden refreshes both stats snapshots: -run TestGoldenStats matches the
-# serial pin (TestGoldenStats) and the address-sliced pin
-# (TestGoldenStatsSliced) in one run.
+# golden refreshes the stats snapshot pinned by TestGoldenStats.
 golden:
 	$(GO) test ./internal/experiments -run TestGoldenStats -update
 
-# golden-update regenerates every golden pin in one command: the serial and
-# sliced golden stats snapshots, then the BENCH_sim.json perf ledger's
-# "current" section on this machine.
+# golden-update regenerates every golden pin in one command: the golden
+# stats snapshot, then the BENCH_sim.json perf ledger's "current" section on
+# this machine.
 golden-update: golden bench-json
 
 # bench-selftest runs gpubench's tests. gpubench is its own module (its

@@ -8,13 +8,10 @@ package gputlb_test
 // +14.3%, full proposal -12.5%).
 
 import (
-	"runtime"
 	"testing"
 
 	"gputlb"
 	"gputlb/internal/metrics"
-	"gputlb/internal/tlb"
-	"gputlb/internal/vm"
 )
 
 func benchOptions() gputlb.ExperimentOptions {
@@ -186,41 +183,6 @@ func BenchmarkSimPerInst(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += r.InstsIssued
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
-	}
-}
-
-// BenchmarkSimPerInstParallel is BenchmarkSimPerInst on the sharded
-// epoch-barrier engine with GOMAXPROCS workers (at least two, so the
-// sharded engine is exercised even on a single-core machine); the ns/inst
-// ratio between the two is the intra-cell speedup cmd/perfgate projects
-// and gates.
-func BenchmarkSimPerInstParallel(b *testing.B) {
-	p := gputlb.DefaultParams()
-	p.Scale = 0.2
-	k, proto, err := gputlb.Build("bfs", p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	cfg := gputlb.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var insts int64
-	for i := 0; i < b.N; i++ {
-		s, err := gputlb.NewSimulator(cfg, k, proto.Fork())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetCellParallel(workers)
-		r := s.Run()
 		insts += r.InstsIssued
 	}
 	b.StopTimer()
@@ -405,95 +367,6 @@ func BenchmarkAblationReplacement(b *testing.B) {
 			b.Log("\n" + gputlb.RenderAblation("Ablation — TLB replacement policies (vs LRU)", rows))
 		}
 	}
-}
-
-// BenchmarkBarrierMergeSliced is BenchmarkSimPerInstParallel with the
-// address-sliced barrier at its default 4 slices: the epoch barrier runs as
-// four concurrent per-slice merge passes instead of one monolithic merge.
-// The ns/inst ratio against BenchmarkSimPerInstParallel is the slicing win;
-// the allocs/inst guard pins the slice passes' steady state — the per-slice
-// merge heaps, trace buffers and MSHR banks are all reused across epochs,
-// so per-instruction allocations must stay at the sharded engine's floor.
-func BenchmarkBarrierMergeSliced(b *testing.B) {
-	p := gputlb.DefaultParams()
-	p.Scale = 0.2
-	k, proto, err := gputlb.Build("bfs", p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	cfg := gputlb.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var insts int64
-	var allocs0, allocs1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&allocs0)
-	for i := 0; i < b.N; i++ {
-		s, err := gputlb.NewSimulator(cfg, k, proto.Fork())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetCellParallel(workers)
-		s.SetL2Slices(4)
-		r := s.Run()
-		insts += r.InstsIssued
-	}
-	runtime.ReadMemStats(&allocs1)
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
-		// Zero-alloc guard for the barrier's steady state: the whole run —
-		// simulator construction included — must stay under one allocation
-		// per simulated instruction, which is impossible if any slice pass
-		// allocates per op or per epoch.
-		perInst := float64(allocs1.Mallocs-allocs0.Mallocs) / float64(insts)
-		b.ReportMetric(perInst, "allocs/inst")
-		if perInst > 1 {
-			b.Fatalf("sliced barrier allocates %.2f allocs/inst (want < 1): a slice pass is allocating in steady state", perInst)
-		}
-	}
-}
-
-// BenchmarkL2SlicedProbe measures the probe path of one L2 TLB address
-// slice: a sub-TLB with 1/K of the sets (K=4), exactly what each per-slice
-// barrier pass probes. The AllocsPerRun guard pins the lookup/insert fast
-// path at zero heap allocations — a regression here multiplies across every
-// translation of every epoch.
-func BenchmarkL2SlicedProbe(b *testing.B) {
-	const slices = 4
-	cfg := gputlb.DefaultConfig().L2TLB
-	cfg.Entries /= slices
-	t := tlb.New(cfg, tlb.Options{})
-	sets := cfg.Entries / cfg.Assoc
-	// Working set of 4x the slice capacity so probes mix hits and misses.
-	span := vm.VPN(4 * cfg.Entries)
-	var sink vm.PPN
-	if got := testing.AllocsPerRun(100, func() {
-		for vpn := vm.VPN(0); vpn < vm.VPN(2*sets); vpn++ {
-			if ppn, hit, _ := t.Lookup(0, vpn); hit {
-				sink = ppn
-			} else {
-				t.Insert(0, vpn, vm.PPN(vpn)+1)
-			}
-		}
-	}); got != 0 {
-		b.Fatalf("sliced L2 TLB probe allocates (%v allocs/run, want 0)", got)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vpn := vm.VPN(i) % span
-		if ppn, hit, _ := t.Lookup(0, vpn); hit {
-			sink = ppn
-		} else {
-			t.Insert(0, vpn, vm.PPN(vpn)+1)
-		}
-	}
-	_ = sink
 }
 
 // BenchmarkSMBalance quantifies the per-SM hit-rate spread that motivates

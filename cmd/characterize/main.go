@@ -41,8 +41,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "workload scale factor")
 		seed     = flag.Int64("seed", 1, "workload generation seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells (results are identical at any value)")
-		cellPar  = flag.Int("cell-parallel", 1, "intra-cell engine for the simulating figures: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell")
-		l2Slices = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); ignored when -cell-parallel <= 1")
 		jsonOut  = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		daemon   = flag.String("daemon", "", "submit the Figure 2 sweep to a gputlbd (or fabric coordinator — same API) at this URL instead of simulating in-process")
 		out      cliutil.OutputFlags
@@ -73,7 +71,7 @@ func main() {
 		if *fig != "2" {
 			log.Fatalf("-daemon runs the simulating figure only; use -fig 2 (got -fig %s)", *fig)
 		}
-		rows, err := fig2ViaDaemon(*daemon, benchmarks, *scale, *seed, *cellPar, *l2Slices)
+		rows, err := fig2ViaDaemon(*daemon, benchmarks, *scale, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,8 +88,6 @@ func main() {
 	opt.Params.Scale = *scale
 	opt.Params.Seed = *seed
 	opt.Parallelism = *parallel
-	opt.CellParallel = *cellPar
-	opt.L2Slices = *l2Slices
 	opt.Benchmarks = benchmarks
 	opt.StatsDump = out.NewStatsDump()
 	opt.Tracer = out.NewTracer()
@@ -151,19 +147,14 @@ func main() {
 
 // fig2ViaDaemon runs the Figure 2 capacity sweep on a gputlbd and
 // reconstructs the rows from the job's cell results.
-func fig2ViaDaemon(baseURL string, benchmarks []string, scale float64, seed int64, cellParallel, l2Slices int) ([]gputlb.Fig2Row, error) {
+func fig2ViaDaemon(baseURL string, benchmarks []string, scale float64, seed int64) ([]gputlb.Fig2Row, error) {
 	c := &jobs.Client{BaseURL: baseURL}
-	if cellParallel < 2 {
-		l2Slices = 0 // slicing is a property of the sharded barrier only
-	}
 	id, err := c.Submit(jobs.JobSpec{
-		Name:         "characterize-fig2",
-		Benchmarks:   benchmarks,
-		Configs:      []string{"64-entry", "256-entry"},
-		Scale:        scale,
-		Seed:         seed,
-		CellParallel: cellParallel,
-		L2Slices:     l2Slices,
+		Name:       "characterize-fig2",
+		Benchmarks: benchmarks,
+		Configs:    []string{"64-entry", "256-entry"},
+		Scale:      scale,
+		Seed:       seed,
 	})
 	if err != nil {
 		return nil, err

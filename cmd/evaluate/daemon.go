@@ -16,11 +16,8 @@ import (
 // reconstructs the figure rows from the returned cell results. The cells
 // are deterministic, so the daemon path renders exactly what an
 // in-process run would.
-func runViaDaemon(baseURL, fig string, benchmarks []string, scale float64, seed int64, cellParallel, l2Slices int, objective string, jsonOut bool) error {
+func runViaDaemon(baseURL, fig string, benchmarks []string, scale float64, seed int64, objective string, jsonOut bool) error {
 	c := &jobs.Client{BaseURL: baseURL}
-	if cellParallel < 2 {
-		l2Slices = 0 // slicing is a property of the sharded barrier only
-	}
 	want := func(name string) bool { return fig == "all" || fig == name }
 	emit := func(name, table string, rows any) error {
 		if jsonOut {
@@ -37,13 +34,11 @@ func runViaDaemon(baseURL, fig string, benchmarks []string, scale float64, seed 
 	// benchmark-major expansion).
 	submit := func(name string, configs []string) ([][]jobs.CellResult, error) {
 		id, err := c.Submit(jobs.JobSpec{
-			Name:         name,
-			Benchmarks:   benchmarks,
-			Configs:      configs,
-			Scale:        scale,
-			Seed:         seed,
-			CellParallel: cellParallel,
-			L2Slices:     l2Slices,
+			Name:       name,
+			Benchmarks: benchmarks,
+			Configs:    configs,
+			Scale:      scale,
+			Seed:       seed,
 		})
 		if err != nil {
 			return nil, err
@@ -69,13 +64,13 @@ func runViaDaemon(baseURL, fig string, benchmarks []string, scale float64, seed 
 	}
 
 	if fig == "multi" {
-		return runMultiViaDaemon(c, benchmarks, scale, seed, cellParallel, l2Slices, emit)
+		return runMultiViaDaemon(c, benchmarks, scale, seed, emit)
 	}
 	if fig == "churn" {
-		return runChurnViaDaemon(c, benchmarks, scale, seed, cellParallel, l2Slices, objective, emit)
+		return runChurnViaDaemon(c, benchmarks, scale, seed, objective, emit)
 	}
 	if fig == "mech" {
-		return runMechViaDaemon(c, benchmarks, scale, seed, cellParallel, l2Slices, emit)
+		return runMechViaDaemon(c, benchmarks, scale, seed, emit)
 	}
 	supported := map[string]bool{"all": true, "10": true, "11": true, "12": true, "hugepage": true}
 	if !supported[fig] {
@@ -157,7 +152,7 @@ func runViaDaemon(baseURL, fig string, benchmarks []string, scale float64, seed 
 // MultiRow rows an in-process run would render. Both paths derive every
 // figure number from the same integer counters, so the output is
 // byte-identical.
-func runMultiViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed int64, cellParallel, l2Slices int, emit func(string, string, any) error) error {
+func runMultiViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed int64, emit func(string, string, any) error) error {
 	benches := benchmarks
 	if len(benches) == 0 {
 		benches = gputlb.WorkloadNames()
@@ -170,11 +165,11 @@ func runMultiViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed 
 
 	var cells []jobs.CellSpec
 	for _, b := range benches {
-		cells = append(cells, jobs.CellSpec{Bench: b, Config: "baseline", Scale: scale, Seed: seed, CellParallel: cellParallel, L2Slices: l2Slices})
+		cells = append(cells, jobs.CellSpec{Bench: b, Config: "baseline", Scale: scale, Seed: seed})
 	}
 	for _, p := range pairs {
 		for _, cfg := range configs {
-			cells = append(cells, jobs.CellSpec{Tenants: p[:], Config: cfg, Scale: scale, Seed: seed, CellParallel: cellParallel, L2Slices: l2Slices})
+			cells = append(cells, jobs.CellSpec{Tenants: p[:], Config: cfg, Scale: scale, Seed: seed})
 		}
 	}
 	id, err := c.Submit(jobs.JobSpec{Name: "evaluate-multi", Cells: cells})
@@ -242,7 +237,7 @@ func mechAllocFor(mech string) string {
 // pair x mechanism cell on the fully shared L2 TLB at the spatial SM split
 // (MechMulti's fixed point) — and reconstructs the same MechRow/MechMultiRow
 // rows an in-process run would render.
-func runMechViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed int64, cellParallel, l2Slices int, emit func(string, string, any) error) error {
+func runMechViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed int64, emit func(string, string, any) error) error {
 	benches := benchmarks
 	if len(benches) == 0 {
 		benches = gputlb.WorkloadNames()
@@ -254,7 +249,7 @@ func runMechViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed i
 		for _, m := range mechs {
 			cells = append(cells, jobs.CellSpec{
 				Bench: b, Config: "baseline", Mech: m, Alloc: mechAllocFor(m),
-				Scale: scale, Seed: seed, CellParallel: cellParallel, L2Slices: l2Slices,
+				Scale: scale, Seed: seed,
 			})
 		}
 	}
@@ -265,7 +260,7 @@ func runMechViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed i
 			for _, m := range mechs {
 				cells = append(cells, jobs.CellSpec{
 					Tenants: p[:], Config: "multi-shared-spatial", Mech: m, Alloc: mechAllocFor(m),
-					Scale: scale, Seed: seed, CellParallel: cellParallel, L2Slices: l2Slices,
+					Scale: scale, Seed: seed,
 				})
 			}
 		}
@@ -350,7 +345,7 @@ func churnConfigs() []string {
 // a solo "baseline" cell per benchmark, then every pair x tenancy-mode cell
 // with the grid's fixed arrival pattern — and reconstructs the same ChurnRow
 // rows an in-process run would render.
-func runChurnViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed int64, cellParallel, l2Slices int, objective string, emit func(string, string, any) error) error {
+func runChurnViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed int64, objective string, emit func(string, string, any) error) error {
 	benches := benchmarks
 	if len(benches) == 0 {
 		benches = gputlb.WorkloadNames()
@@ -363,18 +358,16 @@ func runChurnViaDaemon(c *jobs.Client, benchmarks []string, scale float64, seed 
 
 	var cells []jobs.CellSpec
 	for _, b := range benches {
-		cells = append(cells, jobs.CellSpec{Bench: b, Config: "baseline", Scale: scale, Seed: seed, CellParallel: cellParallel, L2Slices: l2Slices})
+		cells = append(cells, jobs.CellSpec{Bench: b, Config: "baseline", Scale: scale, Seed: seed})
 	}
 	for _, p := range pairs {
 		for _, cfg := range configs {
 			cells = append(cells, jobs.CellSpec{
-				Tenants:      p[:],
-				Config:       cfg,
-				Scale:        scale,
-				Seed:         seed,
-				CellParallel: cellParallel,
-				L2Slices:     l2Slices,
-				QueueCap:     experiments.ChurnQueueCap,
+				Tenants:  p[:],
+				Config:   cfg,
+				Scale:    scale,
+				Seed:     seed,
+				QueueCap: experiments.ChurnQueueCap,
 				Arrivals: []jobs.ArrivalSpec{
 					{Bench: p[0], At: experiments.ChurnFirstArrival},
 					{Bench: p[1], At: experiments.ChurnSecondArrival},

@@ -40,8 +40,6 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Int64("seed", 1, "workload generation seed")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells (results are identical at any value)")
-		cellPar   = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell (bit-identical at any N>=2)")
-		l2Slices  = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); ignored when -cell-parallel <= 1")
 		jsonOut   = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		objective = flag.String("objective", "", "partitioning-controller objective for controller cells: ws | fairness | maxmin (default ws)")
 		daemon    = flag.String("daemon", "", "submit the sweep to a gputlbd (or fabric coordinator — same API) at this URL instead of running in-process (figs 10/11/12/hugepage/multi)")
@@ -56,7 +54,7 @@ func main() {
 	}
 
 	if *daemon != "" {
-		if err := runViaDaemon(*daemon, *fig, benchmarks, *scale, *seed, *cellPar, *l2Slices, *objective, *jsonOut); err != nil {
+		if err := runViaDaemon(*daemon, *fig, benchmarks, *scale, *seed, *objective, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -71,8 +69,6 @@ func main() {
 	opt.Params.Scale = *scale
 	opt.Params.Seed = *seed
 	opt.Parallelism = *parallel
-	opt.CellParallel = *cellPar
-	opt.L2Slices = *l2Slices
 	opt.Benchmarks = benchmarks
 	opt.Objective = *objective
 	opt.StatsDump = out.NewStatsDump()

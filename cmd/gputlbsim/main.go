@@ -41,8 +41,6 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit results as JSON")
 		tracePath   = flag.String("trace", "", "replay a binary kernel trace instead of building a benchmark")
 		configPath  = flag.String("config", "", "load the machine configuration from a JSON file")
-		cellPar     = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers (bit-identical at any N>=2)")
-		l2Slices    = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier: K>1 splits L2 TLB/cache sets, walkers and DRAM channels into K slices applied concurrently (bit-identical at any worker count for fixed K); 1 = monolithic barrier; ignored when -cell-parallel <= 1")
 		outputs     cliutil.OutputFlags
 	)
 	outputs.Register(flag.CommandLine)
@@ -137,8 +135,6 @@ func main() {
 	if tracer != nil {
 		s.SetTracer(tracer, 0)
 	}
-	s.SetCellParallel(*cellPar)
-	s.SetL2Slices(*l2Slices)
 	res := s.Run()
 
 	// A single run exports its stats Snapshot directly rather than a

@@ -57,62 +57,13 @@ type PerInst struct {
 	BytesPerInst  float64 `json:"bytes_per_inst"`
 }
 
-// PerCellParallel is the sharded intra-cell engine's measurement: the
-// phase breakdown of one representative sharded+sliced run (bfs, baseline
-// config, golden scale, the default 4 address slices) plus a serial-engine
-// run of the same cell as the speedup baseline.
-//
-// Two projections are recorded. ParallelFrac and Projected8Core come from
-// the deterministic event counts — identical on every machine, which is
-// what lets a 1-core CI box gate the epoch-barrier work split. The
-// parallel section is the shard-local events plus the barrier work the
-// address-sliced barrier runs concurrently (the K per-slice passes and the
-// per-shard SM passes); the serial section is the residual monolithic
-// barrier ops, the cross-slice serial tail and the global events.
-// Projected8Core applies Amdahl per phase: shard-local and SM-pass work
-// scale with the core count, slice passes with min(K, cores).
-// TimeProjected8Core is the wall-clock analogue against the measured
-// serial engine — machine-dependent, recorded on the reference machine
-// for the ledger.
-//
-// Before address slicing the projections sat near 2.1-2.7x: the monolithic
-// barrier replayed every shared-memory-system transaction in one serial
-// merge. Slicing the L2 TLB, L2 cache, walker pools and DRAM channels into
-// K independent address slices turns that replay into K concurrent
-// passes, leaving only TB dispatch, controller ticks and global events
-// serial.
-type PerCellParallel struct {
-	LocalEvents  int64 `json:"local_events"`
-	BarrierOps   int64 `json:"barrier_ops"`
-	GlobalEvents int64 `json:"global_events"`
-	Epochs       int64 `json:"epochs"`
-	// L2Slices is the slice count K of the measured run; SlicedOps counts
-	// the barrier ops advanced inside the K concurrent per-slice passes
-	// (per slice in SliceOps), SMPassOps the ops applied by the concurrent
-	// per-shard SM passes, and SerialOps the cross-slice serial tail.
-	L2Slices           int     `json:"l2_slices"`
-	SlicedOps          int64   `json:"sliced_ops"`
-	SMPassOps          int64   `json:"sm_pass_ops"`
-	SerialOps          int64   `json:"serial_ops"`
-	SliceOps           []int64 `json:"slice_ops,omitempty"`
-	ParallelFrac       float64 `json:"parallel_fraction"`
-	Projected8Core     float64 `json:"projected_speedup_8core"`
-	LegacySeconds      float64 `json:"legacy_seconds"`
-	Phase1Seconds      float64 `json:"phase1_seconds"`
-	BarrierSeconds     float64 `json:"barrier_seconds"`
-	SlicePassSeconds   float64 `json:"slice_pass_seconds"`
-	SMPassSeconds      float64 `json:"sm_pass_seconds"`
-	TimeProjected8Core float64 `json:"time_projected_speedup_8core"`
-}
-
 // Measurement is one full perfgate run.
 type Measurement struct {
-	Recorded        string           `json:"recorded"`
-	GoMaxProcs      int              `json:"gomaxprocs"`
-	EvalParallel1   Sweep            `json:"eval_sweep_parallel1"`
-	EvalParallel8   Sweep            `json:"eval_sweep_parallel8"`
-	PerInst         PerInst          `json:"per_inst"`
-	PerCellParallel *PerCellParallel `json:"per_cell_parallel,omitempty"`
+	Recorded      string  `json:"recorded"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
+	EvalParallel1 Sweep   `json:"eval_sweep_parallel1"`
+	EvalParallel8 Sweep   `json:"eval_sweep_parallel8"`
+	PerInst       PerInst `json:"per_inst"`
 }
 
 // File is the BENCH_sim.json layout: the pinned pre-optimization baseline
@@ -218,46 +169,15 @@ func runCheck(path string) error {
 				got.NsPerInst, nsLimit, committedNs)
 		}
 	}
-	pcp := measurePerCellParallel()
-	fmt.Printf("cell-parallel: %.4f parallel fraction (%d local events, %d sliced ops over %d slices, "+
-		"%d SM-pass ops, %d serial ops, %d barrier ops, %d global), "+
-		"%.2fx count-projected / %.2fx time-projected on 8 cores\n",
-		pcp.ParallelFrac, pcp.LocalEvents, pcp.SlicedOps, pcp.L2Slices,
-		pcp.SMPassOps, pcp.SerialOps, pcp.BarrierOps, pcp.GlobalEvents,
-		pcp.Projected8Core, pcp.TimeProjected8Core)
-	if pcp.ParallelFrac < minParallelFrac {
-		return fmt.Errorf("cell-parallel regression: parallel fraction %.4f below the %.2f floor — "+
-			"too much work moved from the shards to the serial barrier", pcp.ParallelFrac, minParallelFrac)
-	}
-	if pcp.Projected8Core < minProjected8Core {
-		return fmt.Errorf("cell-parallel regression: projected 8-core speedup %.2fx below the %.1fx floor "+
-			"(parallel fraction %.4f) — too much work moved from the shards to the serial barrier",
-			pcp.Projected8Core, minProjected8Core, pcp.ParallelFrac)
-	}
 	fmt.Println("perf gate OK")
 	return nil
 }
 
-// minProjected8Core and minParallelFrac are the CI floors for the sharded
-// engine's deterministic Amdahl projection and work split, measured with
-// the address-sliced barrier at its default 4 slices. The sliced barrier
-// moves the L2 TLB/cache/walker/DRAM replay from one serial merge into K
-// concurrent per-slice passes, which lifts the representative bfs cell
-// well past the old monolithic ceiling (0.607 fraction, 2.13x projection);
-// the floors are pinned under the measured sliced values so any structural
-// regression that shifts work back into the serial section fails CI.
-const (
-	minProjected8Core = 3.0
-	minParallelFrac   = 0.70
-)
-
 func measure(label string, skipSweep bool) Measurement {
-	pcp := measurePerCellParallel()
 	m := Measurement{
-		Recorded:        label,
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		PerInst:         measurePerInst(),
-		PerCellParallel: &pcp,
+		Recorded:   label,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		PerInst:    measurePerInst(),
 	}
 	if !skipSweep {
 		m.EvalParallel1 = measureEval(1)
@@ -266,93 +186,6 @@ func measure(label string, skipSweep bool) Measurement {
 	return m
 }
 
-// measurePerCellParallel runs the representative cell on both engines and
-// derives the projections described on PerCellParallel. The sharded run
-// uses two workers and the default 4 address slices: the event counts are
-// identical at every worker count, and two workers keep the phase-1 wall
-// clock close to the actual shard work on small machines (more workers
-// only add scheduler ping-pong there).
-func measurePerCellParallel() PerCellParallel {
-	spec, ok := workloads.ByName("bfs")
-	if !ok {
-		log.Fatal("unknown benchmark bfs")
-	}
-	k, as := workloads.Cached(spec, workloads.Params{PageShift: 12, Seed: 1, Scale: 0.2})
-
-	serial, err := sim.New(arch.Default(), k, as)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	serial.Run()
-	legacySecs := time.Since(start).Seconds()
-
-	s, err := sim.New(arch.Default(), k, as)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s.SetCellParallel(2)
-	s.SetL2Slices(4)
-	s.Run()
-	p := s.Profile()
-	slices := s.L2Slices()
-
-	// Deterministic work split. Parallel: shard-local events plus the
-	// barrier ops the sliced barrier advances concurrently (slice passes
-	// scale with min(K, cores), SM passes with the shard count). Serial:
-	// residual monolithic barrier ops, the cross-slice tail and globals.
-	parallelOps := p.LocalEvents + p.SlicedOps + p.SMPassOps
-	serialOps := p.BarrierOps + p.SerialOps + p.GlobalEvents
-	total := parallelOps + serialOps
-	var frac, proj float64
-	if total > 0 {
-		frac = float64(parallelOps) / float64(total)
-		sliceWays := float64(min(slices, 8))
-		denom := float64(serialOps)/float64(total) +
-			float64(p.LocalEvents)/float64(total)/8 +
-			float64(p.SlicedOps)/float64(total)/sliceWays +
-			float64(p.SMPassOps)/float64(total)/8
-		if denom > 0 {
-			proj = 1 / denom
-		}
-	}
-
-	// Wall-clock analogue: phase 1 and the SM passes scale with the core
-	// count, the slice passes with min(K, cores); the rest of the barrier
-	// stays serial.
-	var timeProj float64
-	serialBarrier := p.BarrierSeconds - p.SlicePassSeconds - p.SMPassSeconds
-	if serialBarrier < 0 {
-		serialBarrier = 0
-	}
-	if denom := p.Phase1Seconds/8 + p.SlicePassSeconds/float64(min(slices, 8)) +
-		p.SMPassSeconds/8 + serialBarrier; denom > 0 {
-		timeProj = legacySecs / denom
-	}
-	return PerCellParallel{
-		LocalEvents:        p.LocalEvents,
-		BarrierOps:         p.BarrierOps,
-		GlobalEvents:       p.GlobalEvents,
-		Epochs:             p.Epochs,
-		L2Slices:           slices,
-		SlicedOps:          p.SlicedOps,
-		SMPassOps:          p.SMPassOps,
-		SerialOps:          p.SerialOps,
-		SliceOps:           p.SliceOps,
-		ParallelFrac:       frac,
-		Projected8Core:     proj,
-		LegacySeconds:      legacySecs,
-		Phase1Seconds:      p.Phase1Seconds,
-		BarrierSeconds:     p.BarrierSeconds,
-		SlicePassSeconds:   p.SlicePassSeconds,
-		SMPassSeconds:      p.SMPassSeconds,
-		TimeProjected8Core: timeProj,
-	}
-}
-
-// measureEval times the full Figure 10/11 evaluate sweep at the given
-// parallelism. The trace cache is cleared first so every measurement pays
-// the same first-build cost the real CLI run pays.
 func measureEval(parallelism int) Sweep {
 	workloads.ClearTraceCache()
 	opt := experiments.DefaultOptions()

@@ -80,16 +80,6 @@ func (c *Cache) RegisterStats(r *stats.Registry) {
 // ResetStats zeroes counters without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// AddStats folds externally accumulated counters (an address slice's
-// sub-cache) into this cache's stats so one registered stats node reports
-// the combined activity.
-func (c *Cache) AddStats(s Stats) {
-	c.stats.Accesses += s.Accesses
-	c.stats.Hits += s.Hits
-	c.stats.Misses += s.Misses
-	c.stats.Evictions += s.Evictions
-}
-
 // setOf maps a line to its set. Set counts need not be powers of two (the
 // 1536KB L2 has 1536 sets), so this uses modulo, not masking.
 func (c *Cache) setOf(addr LineAddr) int { return int(addr % LineAddr(c.nsets)) }

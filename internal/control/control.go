@@ -155,7 +155,7 @@ type Machine struct {
 // Sample is one slot's counter snapshot at a decision point. Counters are
 // cumulative since the start of the run; the controller differences
 // consecutive periodic samples itself. Churn-triggered decisions ignore
-// every counter field (they are not barrier-stable mid-epoch).
+// every counter field.
 type Sample struct {
 	Slot    int
 	Active  bool
@@ -217,7 +217,7 @@ type Stats struct {
 }
 
 // Controller is the closed-loop repartitioner. Not safe for concurrent
-// use; the simulator drives it from the barrier/serial event loop only.
+// use; the simulator drives it from its event loop only.
 type Controller struct {
 	cfg Config
 	m   Machine
@@ -306,9 +306,8 @@ func (c *Controller) Decide(cycle int64, reason Reason, samples []Sample) (Assig
 	changed := false
 
 	if reason != ReasonEpoch {
-		// Churn: counters are not barrier-stable mid-epoch, so the decision
-		// is a pure function of the active-slot set. The periodic sample
-		// history is left untouched.
+		// Churn: the decision is a pure function of the active-slot set.
+		// The periodic sample history is left untouched.
 		if !c.cfg.Frozen && mask != c.activeMask {
 			dec.Rebalanced = c.rebalance(mask)
 			changed = dec.Rebalanced

@@ -21,8 +21,7 @@ type Config struct {
 // order-insensitive window meter (the simulator discovers accesses out of
 // timestamp order). All mutable state — bank meters, open-row registers,
 // and the row-buffer counters — is per partition, so concurrent callers
-// are safe as long as no two of them ever touch the same partition (the
-// sliced barrier's per-slice passes own disjoint partition sets). Not
+// are safe as long as no two of them ever touch the same partition. Not
 // safe for unpartitioned concurrent use.
 type DRAM struct {
 	cfg     Config

@@ -63,8 +63,7 @@ type node struct {
 // [base, base+ringSize), where base is the last popped cycle, go in a ring
 // of per-cycle buckets kept in (pri, seq) order; a two-level bitmap of
 // non-empty buckets finds the next one. Everything else — the far future,
-// and the past that the sharded engine's rolled-back clocks can schedule —
-// goes in a value-based binary heap. Pop takes whichever head is earlier in
+// and any cycle before base — goes in a value-based binary heap. Pop takes whichever head is earlier in
 // (At, pri, seq) order, so the queue pops exactly as one heap over all
 // events would.
 type Queue struct {
@@ -90,9 +89,7 @@ func (q *Queue) Schedule(at Cycle, fn func()) {
 
 // SchedulePri enqueues fn to run at cycle at with an explicit same-cycle
 // priority: events at equal cycles run in ascending pri, insertion order
-// within equal pri. The sharded engine uses this to order same-cycle events
-// by when they were *logically* produced rather than by which epoch barrier
-// happened to insert them.
+// within equal pri.
 func (q *Queue) SchedulePri(at Cycle, pri uint64, fn func()) {
 	q.push(Event{At: at, Fn: fn, pri: pri, seq: q.nextSeq})
 }

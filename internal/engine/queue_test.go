@@ -9,9 +9,8 @@ import (
 // Property: under random interleavings of Schedule, SchedulePri and Pop the
 // queue pops exactly what a sort over (At, pri, seq) of the pending events
 // puts first. The cycle mix covers same-cycle bursts, the calendar window's
-// edge on both sides, the far future, cycles before the last pop (the
-// sharded engine's rolled-back clocks), and long idle gaps that move the
-// window by many ring lengths.
+// edge on both sides, the far future, cycles before the last pop, and long
+// idle gaps that move the window by many ring lengths.
 func TestQueueMatchesSortOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))

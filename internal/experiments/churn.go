@@ -120,11 +120,9 @@ func ChurnGrid(opt Options) ([]ChurnRow, error) {
 		}
 	}
 	mopt := multi.Options{
-		Base:         &cfg,
-		Params:       opt.Params,
-		CellParallel: opt.CellParallel,
-		L2Slices:     opt.L2Slices,
-		Control:      ctlCfg,
+		Base:    &cfg,
+		Params:  opt.Params,
+		Control: ctlCfg,
 	}
 	results, err := parallel.Map(opt.ctx(), opt.pool(), len(cells),
 		func(_ context.Context, i int) (sim.Result, error) {

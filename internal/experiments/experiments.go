@@ -44,19 +44,6 @@ type Options struct {
 	// StatsDump, when non-nil, collects every cell's full stats tree in
 	// deterministic (cell-order) sequence for export.
 	StatsDump *StatsDump
-	// CellParallel selects the intra-cell engine: 0 or 1 keeps the serial
-	// engine (byte-identical to the committed golden stats); n >= 2 runs
-	// each cell on the sharded epoch-barrier engine with up to n worker
-	// goroutines. Sharded results are bit-identical at every n >= 2 but
-	// differ slightly from the serial engine's (a different — equally
-	// deterministic — serialization of shared-resource requests).
-	CellParallel int
-	// L2Slices partitions the sharded engine's barrier into K independent
-	// address slices (sim.SetL2Slices); 0 or 1 keeps the monolithic
-	// barrier. Effective only with CellParallel >= 2, and — like the engine
-	// choice — K > 1 is its own deterministic serialization: comparisons
-	// must hold both CellParallel (serial vs sharded) and L2Slices fixed.
-	L2Slices int
 	// Objective overrides the partitioning controller's optimization
 	// objective for controller-mode cells ("ws", "fairness", "maxmin");
 	// empty keeps the default weighted-speedup objective. Ignored by cells
@@ -206,8 +193,6 @@ func (o Options) runCells(cells []simCell) ([]sim.Result, error) {
 				return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.spec.Name, c.label, serr)
 			}
 			s.SetTracer(o.Tracer, i)
-			s.SetCellParallel(o.CellParallel)
-			s.SetL2Slices(o.L2Slices)
 			return s.Run(), nil
 		})
 	if err != nil {

@@ -20,26 +20,13 @@ var goldenBenchmarks = []string{"bfs", "pagerank", "atax", "3dconv", "nw"}
 // goldenStatsJSON runs every golden benchmark under the baseline config at
 // the given parallelism and returns the serialized stats dump.
 func goldenStatsJSON(t *testing.T, parallelism int) []byte {
-	return goldenStatsJSONCell(t, parallelism, 1)
-}
-
-// goldenStatsJSONCell additionally selects the intra-cell engine.
-func goldenStatsJSONCell(t *testing.T, parallelism, cellParallel int) []byte {
-	return goldenStatsJSONSliced(t, parallelism, cellParallel, 1)
-}
-
-// goldenStatsJSONSliced additionally selects the barrier's address-slice
-// count (effective only on the sharded engine).
-func goldenStatsJSONSliced(t *testing.T, parallelism, cellParallel, l2Slices int) []byte {
 	t.Helper()
 	dump := &StatsDump{}
 	opt := Options{
-		Params:       workloads.Params{PageShift: 12, Seed: 1, Scale: 0.2},
-		Benchmarks:   goldenBenchmarks,
-		Parallelism:  parallelism,
-		CellParallel: cellParallel,
-		L2Slices:     l2Slices,
-		StatsDump:    dump,
+		Params:      workloads.Params{PageShift: 12, Seed: 1, Scale: 0.2},
+		Benchmarks:  goldenBenchmarks,
+		Parallelism: parallelism,
+		StatsDump:   dump,
 	}
 	specs, err := opt.specs()
 	if err != nil {
@@ -94,50 +81,6 @@ func TestGoldenStatsParallelismInvariant(t *testing.T) {
 	par := goldenStatsJSON(t, 8)
 	if !bytes.Equal(seq, par) {
 		t.Errorf("stats dump differs across parallelism (first difference at byte %d)", firstDiff(seq, par))
-	}
-}
-
-// TestGoldenStatsCellParallelSharded: the sharded intra-cell engine is its
-// own deterministic serialization — bit-identical across worker counts even
-// though it (legitimately) differs from the serial goldens.
-func TestGoldenStatsCellParallelSharded(t *testing.T) {
-	two := goldenStatsJSONCell(t, 1, 2)
-	eight := goldenStatsJSONCell(t, 4, 8)
-	if !bytes.Equal(two, eight) {
-		t.Errorf("sharded stats dump differs across cell-parallel worker counts (first difference at byte %d)", firstDiff(two, eight))
-	}
-}
-
-// TestGoldenStatsSliced locks the address-sliced barrier's serialization
-// (sharded engine, 4 slices) against testdata/golden_stats_sliced.json.
-// K > 1 partitions the L2 TLB/cache sets, walker pools and DRAM channels
-// per address slice, so its stats legitimately differ from the serial
-// goldens — but they are a deterministic model of their own, bit-identical
-// at every worker count, and this pin catches unintended shifts in that
-// model. Refresh both pins with `make golden-update`.
-func TestGoldenStatsSliced(t *testing.T) {
-	got := goldenStatsJSONSliced(t, 1, 2, 4)
-	golden := filepath.Join("testdata", "golden_stats_sliced.json")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sliced stats dump diverged from %s (%d vs %d bytes); first difference at byte %d — "+
-			"inspect the diff and rerun with -update if intentional",
-			golden, len(got), len(want), firstDiff(got, want))
-	}
-	eight := goldenStatsJSONSliced(t, 4, 8, 4)
-	if !bytes.Equal(got, eight) {
-		t.Errorf("sliced stats dump differs across cell-parallel worker counts (first difference at byte %d)", firstDiff(got, eight))
 	}
 }
 

@@ -160,10 +160,7 @@ func MechMulti(opt Options) ([]MechMultiRow, error) {
 		func(_ context.Context, i int) (sim.Result, error) {
 			c := cells[i]
 			cfg := MechConfig(c.mech)
-			o := multi.Options{
-				Base: &cfg, Params: opt.Params, TLBMode: multi.TLBSharedMode,
-				CellParallel: opt.CellParallel, L2Slices: opt.L2Slices,
-			}
+			o := multi.Options{Base: &cfg, Params: opt.Params, TLBMode: multi.TLBSharedMode}
 			r, rerr := multi.CoRun(c.pair[:], o)
 			if rerr != nil {
 				return sim.Result{}, fmt.Errorf("%s+%s [mech-%s]: %w", c.pair[0], c.pair[1], c.mech, rerr)

@@ -95,7 +95,7 @@ func MultiGrid(opt Options) ([]MultiRow, error) {
 			}
 		}
 	}
-	mopt := multi.Options{Base: &cfg, Params: opt.Params, CellParallel: opt.CellParallel, L2Slices: opt.L2Slices}
+	mopt := multi.Options{Base: &cfg, Params: opt.Params}
 	results, err := parallel.Map(opt.ctx(), opt.pool(), len(cells),
 		func(_ context.Context, i int) (sim.Result, error) {
 			c := cells[i]

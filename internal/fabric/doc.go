@@ -23,8 +23,7 @@
 //   - A content-addressed result cache. Every cell's canonical hash
 //     (CellKey) keys a bounded LRU of completed results; overlapping
 //     grids across jobs — and across users — are served from cache
-//     instead of re-simulated. The key includes an explicit serialization
-//     tag so serial and sharded/l2-sliced variants never alias.
+//     instead of re-simulated.
 //   - Batched result return. Workers flush completed cells back to the
 //     coordinator through a size + max-wait batcher, so grids of small
 //     cells do not pay one HTTP round trip per cell.

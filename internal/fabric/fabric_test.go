@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -613,5 +614,25 @@ func TestFinalizeWaitsForUnjournaledOutcomes(t *testing.T) {
 	c.maybeFinalize()
 	if st, _ := c.Job(id); st.State != jobs.StateDone {
 		t.Fatalf("job %s (%s) after its outcomes were journaled, want done", st.State, st.Error)
+	}
+}
+
+// TestCoordinatorSubmitRejectsRemovedEngineFields: like the single daemon,
+// the coordinator answers a submit carrying the removed cell_parallel
+// field with 400.
+func TestCoordinatorSubmitRejectsRemovedEngineFields(t *testing.T) {
+	_, srv := startCoordinator(t, fastOpts(t.TempDir()))
+	for _, body := range []string{
+		`{"benchmarks":["atax"],"configs":["baseline"],"scale":0.1,"cell_parallel":8}`,
+		`{"cells":[{"bench":"atax","config":"baseline","cell_parallel":2,"l2_slices":4}]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }

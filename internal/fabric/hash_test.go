@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,8 +22,8 @@ func TestCellKeyFieldOrderInvariance(t *testing.T) {
 		`"scale":0.25`,
 		`"seed":7`,
 		`"page_shift":12`,
-		`"cell_parallel":4`,
-		`"l2_slices":2`,
+		`"mech":"subentry"`,
+		`"alloc":"contig"`,
 	}
 	rng := rand.New(rand.NewSource(1))
 	var want string
@@ -65,58 +64,6 @@ func TestCellKeyTenantsAndArrivalsOrderInvariance(t *testing.T) {
 	}
 	if CellKey(ca) != CellKey(cb) {
 		t.Error("reordered multi-tenant JSON produced a different key")
-	}
-}
-
-// TestCellKeySerializationTags pins the tag rules: every CellParallel >= 2
-// is the same sharded serialization (worker count does not change
-// results), l2_slices 0 and 1 are both the monolithic barrier, and the
-// serial engine and every distinct slice count are all mutually distinct.
-func TestCellKeySerializationTags(t *testing.T) {
-	base := jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}
-
-	at := func(cp, l2 int) string {
-		c := base
-		c.CellParallel = cp
-		c.L2Slices = l2
-		return CellKey(c)
-	}
-
-	// Worker count is not identity within the sharded engine.
-	if at(2, 4) != at(8, 4) {
-		t.Error("cell_parallel 2 vs 8 should share a key (bit-identical serializations)")
-	}
-	if at(0, 0) != at(1, 0) {
-		t.Error("cell_parallel 0 vs 1 are both the serial engine and should share a key")
-	}
-	// l2_slices 0 and 1 are both the monolithic sharded barrier.
-	if at(4, 0) != at(4, 1) {
-		t.Error("l2_slices 0 vs 1 should share a key under the sharded engine")
-	}
-	// Serial vs sharded vs each slice count: distinct serializations,
-	// distinct keys.
-	distinct := map[string]string{
-		"serial":     at(0, 0),
-		"sharded-l1": at(4, 1),
-		"sharded-l2": at(4, 2),
-		"sharded-l4": at(4, 4),
-	}
-	seen := map[string]string{}
-	for name, key := range distinct {
-		if prev, ok := seen[key]; ok {
-			t.Errorf("%s and %s alias to the same key", name, prev)
-		}
-		seen[key] = name
-	}
-
-	if got, want := SerializationTag(base), "serial"; got != want {
-		t.Errorf("tag = %q, want %q", got, want)
-	}
-	sharded := base
-	sharded.CellParallel = 4
-	sharded.L2Slices = 4
-	if got, want := SerializationTag(sharded), "sharded/l2x4"; got != want {
-		t.Errorf("tag = %q, want %q", got, want)
 	}
 }
 
@@ -188,14 +135,4 @@ func TestCellKeyNormalizedDefaultsCollide(t *testing.T) {
 	if CellKey(implicit.Cells[0]) != CellKey(explicit.Cells[0]) {
 		t.Error("normalized default and explicit default diverge")
 	}
-}
-
-func ExampleSerializationTag() {
-	serial := jobs.CellSpec{Bench: "atax", Config: "baseline"}
-	sliced := jobs.CellSpec{Bench: "atax", Config: "baseline", CellParallel: 8, L2Slices: 4}
-	fmt.Println(SerializationTag(serial))
-	fmt.Println(SerializationTag(sliced))
-	// Output:
-	// serial
-	// sharded/l2x4
 }

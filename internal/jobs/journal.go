@@ -142,9 +142,44 @@ type JournalState struct {
 	EndFailed int
 }
 
+// removedEngine holds the intra-cell engine fields that journals written
+// before the sharded engine was removed may carry in their spec record:
+// cell_parallel >= 2 selected the sharded epoch-barrier engine and
+// l2_slices > 1 its address-sliced barrier. JobSpec no longer has the
+// fields, so the spec decode would silently drop them.
+type removedEngine struct {
+	CellParallel int `json:"cell_parallel"`
+	L2Slices     int `json:"l2_slices"`
+}
+
+func (e removedEngine) sharded() bool { return e.CellParallel >= 2 || e.L2Slices > 1 }
+
+// shardedSpec reports the first engine setting in a spec record line that
+// asks for the removed sharded engine, grid-level or in any cell.
+func shardedSpec(line []byte) (removedEngine, bool) {
+	var rec struct {
+		Spec struct {
+			removedEngine
+			Cells []removedEngine `json:"cells"`
+		} `json:"spec"`
+	}
+	if json.Unmarshal(line, &rec) != nil {
+		return removedEngine{}, false
+	}
+	for _, e := range append(rec.Spec.Cells, rec.Spec.removedEngine) {
+		if e.sharded() {
+			return e, true
+		}
+	}
+	return removedEngine{}, false
+}
+
 // LoadJournal parses a job journal. A final line that does not parse is
 // dropped (torn write from a kill); a malformed line elsewhere is an
-// error, as is a missing or invalid spec header.
+// error, as is a missing or invalid spec header. An unfinished journal
+// whose spec asks for the removed sharded engine is an error too: resuming
+// it would finish its remaining cells on the serial engine and mix two
+// models in one result.
 func LoadJournal(path string) (*JournalState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -163,6 +198,8 @@ func LoadJournal(path string) (*JournalState, error) {
 	// A journal killed mid-append may end without a newline; the scanner
 	// still yields that partial tail as a line, and it simply fails to
 	// parse below.
+	var engine removedEngine
+	var sharded bool
 	for i, line := range lines {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -180,6 +217,7 @@ func LoadJournal(path string) (*JournalState, error) {
 				return nil, fmt.Errorf("jobs: %s line %d: unexpected spec record", path, i+1)
 			}
 			st.ID, st.Name, st.Spec = rec.ID, rec.Name, rec.Spec
+			engine, sharded = shardedSpec(line)
 		case "cell":
 			if rec.Result != nil {
 				st.Completed[rec.Index] = *rec.Result
@@ -195,6 +233,12 @@ func LoadJournal(path string) (*JournalState, error) {
 	}
 	if st.Spec == nil || st.ID == "" {
 		return nil, fmt.Errorf("jobs: %s: missing spec header", path)
+	}
+	if sharded && !st.Terminal {
+		return nil, fmt.Errorf("jobs: %s: spec asks for the sharded intra-cell engine "+
+			"(cell_parallel %d, l2_slices %d), which has been removed; the job cannot resume "+
+			"on the serial engine — resubmit it without those fields",
+			path, engine.CellParallel, engine.L2Slices)
 	}
 	return st, nil
 }

@@ -79,13 +79,10 @@ func RunCell(c CellSpec) (CellResult, error) {
 	k, as := workloads.Cached(spec, p)
 	cfg := nc.build()
 	applyMechAlloc(&cfg, c)
-	s, err := sim.New(cfg, k, as)
+	r, err := sim.Run(cfg, k, as)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
 	}
-	s.SetCellParallel(c.CellParallel)
-	s.SetL2Slices(c.L2Slices)
-	r := s.Run()
 	return CellResult{
 		Bench:        c.Bench,
 		Config:       c.Config,
@@ -116,12 +113,10 @@ func runMultiCell(c CellSpec) (CellResult, error) {
 		p.PageShift = c.PageShift
 	}
 	opt := multi.Options{
-		Base:         &cfg,
-		Params:       p,
-		SMPolicy:     assign,
-		TLBMode:      mode,
-		CellParallel: c.CellParallel,
-		L2Slices:     c.L2Slices,
+		Base:     &cfg,
+		Params:   p,
+		SMPolicy: assign,
+		TLBMode:  mode,
 	}
 	if len(c.Arrivals) > 0 {
 		churn := &multi.Churn{QueueCap: c.QueueCap}

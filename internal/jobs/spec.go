@@ -37,17 +37,6 @@ type CellSpec struct {
 	// PageShift overrides the page size implied by Config (12 = 4KB,
 	// 21 = 2MB). 0 keeps the config's default.
 	PageShift uint `json:"page_shift,omitempty"`
-	// CellParallel selects the intra-cell engine: 0 or 1 runs the serial
-	// engine; n >= 2 the sharded epoch-barrier engine with up to n worker
-	// goroutines. Sharded cells are bit-identical at every n >= 2, so the
-	// value is not part of the cell's identity beyond serial-vs-sharded.
-	CellParallel int `json:"cell_parallel,omitempty"`
-	// L2Slices requests K independent address slices for the sharded
-	// engine's barrier (sim.SetL2Slices). 0 or 1 keeps the monolithic
-	// barrier; effective only with CellParallel >= 2. K > 1 is a distinct
-	// legal serialization of the model, so the value IS part of the cell's
-	// identity (unlike the worker count).
-	L2Slices int `json:"l2_slices,omitempty"`
 	// Arrivals adds tenant churn to a multi-tenant cell: each listed
 	// benchmark arrives mid-run at its cycle, entering a free slot or the
 	// bounded admission queue. Requires a Tenants list.
@@ -91,10 +80,6 @@ type JobSpec struct {
 	// Scale and Seed apply to every expanded grid cell.
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
-	// CellParallel and L2Slices apply to every expanded grid cell (CellSpec
-	// fields of the same names).
-	CellParallel int `json:"cell_parallel,omitempty"`
-	L2Slices     int `json:"l2_slices,omitempty"`
 	// Cells, when non-empty, is the explicit cell list and the grid
 	// fields above are ignored.
 	Cells []CellSpec `json:"cells,omitempty"`
@@ -211,7 +196,7 @@ func (s *JobSpec) Normalize() error {
 		}
 		for _, b := range benches {
 			for _, c := range s.Configs {
-				s.Cells = append(s.Cells, CellSpec{Bench: b, Config: c, Scale: s.Scale, Seed: s.Seed, CellParallel: s.CellParallel, L2Slices: s.L2Slices})
+				s.Cells = append(s.Cells, CellSpec{Bench: b, Config: c, Scale: s.Scale, Seed: s.Seed})
 			}
 		}
 		s.Benchmarks, s.Configs = nil, nil
@@ -223,12 +208,6 @@ func (s *JobSpec) Normalize() error {
 		}
 		if c.Seed == 0 {
 			c.Seed = 1
-		}
-		if c.L2Slices < 0 {
-			return fmt.Errorf("jobs: cell %d: negative l2_slices %d", i, c.L2Slices)
-		}
-		if c.L2Slices > 1 && c.CellParallel < 2 {
-			return fmt.Errorf("jobs: cell %d: l2_slices %d requires cell_parallel >= 2 (the sliced barrier is a sharded-engine feature)", i, c.L2Slices)
 		}
 		if _, err := tlbmech.ParseSpec(c.Mech); err != nil {
 			return fmt.Errorf("jobs: cell %d: %w", i, err)
@@ -287,6 +266,6 @@ func (s *JobSpec) Normalize() error {
 			return fmt.Errorf("jobs: cell %d: unknown config %q (one of %v)", i, c.Config, ConfigNames())
 		}
 	}
-	s.Scale, s.Seed, s.CellParallel, s.L2Slices = 0, 0, 0, 0
+	s.Scale, s.Seed = 0, 0
 	return nil
 }

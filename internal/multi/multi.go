@@ -88,14 +88,6 @@ type Options struct {
 	SMPolicy sched.SMAssignment
 	// TLBMode selects the shared L2 TLB's tenancy policy (default shared).
 	TLBMode TLBMode
-	// CellParallel selects the intra-cell engine: 0 or 1 keeps the serial
-	// engine; n >= 2 runs the sharded epoch-barrier engine with up to n
-	// worker goroutines (bit-identical across all n >= 2).
-	CellParallel int
-	// L2Slices partitions the sharded engine's barrier into K independent
-	// address slices (sim.SetL2Slices); 0 or 1 keeps the monolithic
-	// barrier. Effective only with CellParallel >= 2.
-	L2Slices int
 	// Control overrides the controller configuration under
 	// TLBControllerMode (nil means control.DefaultConfig()); ignored for
 	// the other modes.
@@ -191,8 +183,6 @@ func CoRun(benches []string, opt Options) (sim.Result, error) {
 			return sim.Result{}, err
 		}
 	}
-	s.SetCellParallel(opt.CellParallel)
-	s.SetL2Slices(opt.L2Slices)
 	return s.Run(), nil
 }
 
@@ -203,13 +193,7 @@ func Solo(bench string, opt Options) (sim.Result, error) {
 	if !ok {
 		return sim.Result{}, fmt.Errorf("multi: unknown benchmark %q", bench)
 	}
-	s, err := sim.New(opt.config(), k, as)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	s.SetCellParallel(opt.CellParallel)
-	s.SetL2Slices(opt.L2Slices)
-	return s.Run(), nil
+	return sim.Run(opt.config(), k, as)
 }
 
 // WeightedSpeedup is the standard multi-programming throughput metric:

@@ -81,7 +81,7 @@ func TestSchedulePriZeroAllocSteadyState(t *testing.T) {
 	at := engine.Cycle(1000)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
-			q.SchedulePri(at+engine.Cycle(i), shardPri(at, schedClsPhase, uint64(i)), fn)
+			q.SchedulePri(at+engine.Cycle(i), uint64(i), fn)
 		}
 		for q.Len() > 0 {
 			q.Pop()
@@ -90,29 +90,6 @@ func TestSchedulePriZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Queue SchedulePri/Pop allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestPendingInstPoolZeroAlloc(t *testing.T) {
-	sh := &shardCtx{}
-	// Warm the pool to steady state: every later get is a reuse.
-	warm := make([]*pendingInst, 8)
-	for i := range warm {
-		warm[i] = sh.getPI()
-	}
-	for _, pi := range warm {
-		sh.putPI(pi)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 8; i++ {
-			pi := sh.getPI()
-			pi.pages = append(pi.pages, pendPage{vpn: vm.VPN(i)})
-			pi.lines = append(pi.lines, pendLine{start: engine.Cycle(i)})
-			sh.putPI(pi)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("pendingInst pool allocated %.1f times per run, want 0", allocs)
 	}
 }
 

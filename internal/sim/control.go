@@ -3,15 +3,8 @@ package sim
 // Tenant churn (mid-run arrivals and departures with a bounded admission
 // queue) and the online partitioning controller that repartitions the
 // machine — L2 TLB set ownership and per-slot SM lists — in response.
-//
-// Determinism contract with the sharded engine: every churn trigger is
-// either a global-queue event (arrivals, which truncate epochs so every
-// shard is paused at the exact arrival cycle) or a barrier op (departures,
-// applied in the canonical op order). Churn-triggered controller decisions
-// ignore the sampled counters entirely (see internal/control); only the
-// periodic tick — itself a global-queue event, hence epoch-truncating —
-// reads counters, at cycles where they are identical for every worker
-// count and epoch length.
+// Churn-triggered controller decisions ignore the sampled counters entirely
+// (see internal/control); only the periodic tick reads them.
 
 import (
 	"fmt"
@@ -90,8 +83,7 @@ func (s *Simulator) ctlTick() {
 
 // runControl builds the per-slot sample vector, asks the controller for a
 // decision, and applies any assignment change. Counters are only sampled
-// for periodic decisions — churn decisions are defined to be counter-free,
-// which is what keeps them deterministic mid-epoch.
+// for periodic decisions — churn decisions are defined to be counter-free.
 func (s *Simulator) runControl(reason control.Reason) {
 	if s.ctl == nil {
 		return
@@ -138,10 +130,8 @@ func (s *Simulator) runControl(reason control.Reason) {
 	}
 }
 
-// sampleTenant fills a sample's counters from the tenant's own counters
-// plus the shard accumulators (phase-1 counters live in the shards until
-// the end-of-run fold). Only called at periodic ticks, where every shard is
-// paused at the tick cycle, so the sums are barrier-stable.
+// sampleTenant fills a sample's counters from the tenant's own counters.
+// Only called at periodic ticks.
 func (s *Simulator) sampleTenant(tn *tenantState, smp *control.Sample) {
 	smp.Insts = tn.insts
 	smp.PageReqs = tn.pageReqs
@@ -153,14 +143,6 @@ func (s *Simulator) sampleTenant(tn *tenantState, smp *control.Sample) {
 	smp.StallL2 = tn.stallL2
 	smp.StallWalk = tn.stallWalk
 	smp.StallFault = tn.stallFault
-	for _, sh := range s.shards {
-		st := &sh.tenants[tn.asid]
-		smp.Insts += st.insts
-		smp.PageReqs += st.pageReqs
-		smp.L1Hits += st.l1Hits
-		smp.StallL1 += st.stallL1
-		smp.StallWalk += st.stallWalk
-	}
 }
 
 // applyAssignment installs a controller decision: the L2 TLB's explicit set
@@ -171,9 +153,6 @@ func (s *Simulator) applyAssignment(a control.Assignment) {
 	if s.l2Bounds != nil && a.SetBounds != nil {
 		copy(s.l2Bounds, a.SetBounds)
 		s.l2tlb.SetPartition(s.l2Bounds)
-		if s.sliceActive {
-			s.applySliceBounds()
-		}
 	}
 	for sl := range s.slotSMs {
 		if intsEqual(s.slotSMs[sl], a.SMs[sl]) {

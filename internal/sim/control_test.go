@@ -6,14 +6,13 @@ import (
 
 	"gputlb/internal/arch"
 	"gputlb/internal/control"
-	"gputlb/internal/engine"
 	"gputlb/internal/sched"
 )
 
 // churnResult runs a 2-slot co-run with two mid-run arrivals under a
-// partitioned L2 TLB, optionally with a controller, at the given cell
-// parallelism. Fresh kernels every call: address spaces are stateful.
-func churnResult(t *testing.T, cp int, ctlCfg *control.Config, queueCap int) Result {
+// partitioned L2 TLB, optionally with a controller. Fresh kernels every
+// call: address spaces are stateful.
+func churnResult(t *testing.T, ctlCfg *control.Config, queueCap int) Result {
 	t.Helper()
 	cfg := arch.Default()
 	assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
@@ -41,14 +40,13 @@ func churnResult(t *testing.T, cp int, ctlCfg *control.Config, queueCap int) Res
 			t.Fatal(err)
 		}
 	}
-	s.SetCellParallel(cp)
 	r := s.Run()
 	r.Stats = nil
 	return r
 }
 
 func TestChurnArrivalsComplete(t *testing.T) {
-	r := churnResult(t, 1, nil, 2)
+	r := churnResult(t, nil, 2)
 	if len(r.Tenants) != 4 {
 		t.Fatalf("got %d tenant results, want 4", len(r.Tenants))
 	}
@@ -70,57 +68,6 @@ func TestChurnArrivalsComplete(t *testing.T) {
 		}
 		if tr.Cycles <= tr.StartCycle {
 			t.Errorf("arrival %s finished at %d before starting at %d", tr.Name, tr.Cycles, tr.StartCycle)
-		}
-	}
-}
-
-func TestChurnControllerWorkerInvariant(t *testing.T) {
-	// Controller + churn must be bit-identical across sharded worker counts
-	// and epoch lengths: decisions key only on barrier-sampled state.
-	cc := control.Config{Period: 256, Cooldown: 1}
-	base := churnResult(t, 2, &cc, 1)
-	for _, cp := range []int{4, 8} {
-		if r := churnResult(t, cp, &cc, 1); !reflect.DeepEqual(base, r) {
-			t.Errorf("cell-parallel %d diverged from 2", cp)
-		}
-	}
-}
-
-func TestChurnControllerEpochInvariant(t *testing.T) {
-	cc := control.Config{Period: 256, Cooldown: 1}
-	cfgRun := func(epoch engine.Cycle) Result {
-		cfg := arch.Default()
-		assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
-		k0, as0 := tinyKernel(t, 8, 4)
-		k1, as1 := tinyKernel(t, 6, 3)
-		ka, asa := tinyKernel(t, 5, 3)
-		tenants := []Tenant{
-			{Name: "a", Kernel: k0, AS: as0, SMs: assign[0]},
-			{Name: "b", Kernel: k1, AS: as1, SMs: assign[1]},
-		}
-		mopt := MultiOptions{
-			L2TLBPolicy: arch.IndexByTB,
-			Churn: &ChurnSpec{QueueCap: 1, Arrivals: []ChurnArrival{
-				{Tenant: Tenant{Name: "c", Kernel: ka, AS: asa}, At: 512},
-			}},
-		}
-		s, err := NewMulti(cfg, tenants, mopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AttachController(cc); err != nil {
-			t.Fatal(err)
-		}
-		s.SetCellParallel(2)
-		s.SetEpochLength(epoch)
-		r := s.Run()
-		r.Stats = nil
-		return r
-	}
-	base := cfgRun(0)
-	for _, e := range []engine.Cycle{1, 7, 13} {
-		if r := cfgRun(e); !reflect.DeepEqual(base, r) {
-			t.Errorf("epoch length %d diverged from default", e)
 		}
 	}
 }
@@ -170,63 +117,55 @@ func TestChurnDepartureDrainsCleanly(t *testing.T) {
 	// A tenant departing while the controller immediately shrinks its slot
 	// to zero width must drain its in-flight walks, MSHR entries, and
 	// straggling L1 victim write-backs without corrupting the survivors.
-	// The sharded engine is the sharp case: the departure is a barrier op
-	// and same-cycle evict ops for the dead ASID apply after it.
 	cc := control.Config{Period: 128, Cooldown: 0}
-	for _, cp := range []int{1, 4} {
-		cfg := arch.Default()
-		assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
-		kBig, asBig := tinyKernel(t, 12, 6)
-		kSmall, asSmall := tinyKernel(t, 2, 1) // departs early, mid-traffic
-		tenants := []Tenant{
-			{Name: "big", Kernel: kBig, AS: asBig, SMs: assign[0]},
-			{Name: "small", Kernel: kSmall, AS: asSmall, SMs: assign[1]},
-		}
-		s, err := NewMulti(cfg, tenants, MultiOptions{L2TLBPolicy: arch.IndexByTB})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AttachController(cc); err != nil {
-			t.Fatal(err)
-		}
-		s.SetCellParallel(cp)
-		r := s.Run() // panics on deadlock or a corrupted partition
-		if r.Tenants[0].InstsIssued == 0 || r.Tenants[1].InstsIssued == 0 {
-			t.Fatalf("cell-parallel %d: a tenant issued nothing: %+v", cp, r.Tenants)
-		}
-		if d, ok := s.Controller().Last(); !ok || !d.Rebalanced {
-			t.Errorf("cell-parallel %d: departure did not trigger a rebalance", cp)
-		}
+	cfg := arch.Default()
+	assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
+	kBig, asBig := tinyKernel(t, 12, 6)
+	kSmall, asSmall := tinyKernel(t, 2, 1) // departs early, mid-traffic
+	tenants := []Tenant{
+		{Name: "big", Kernel: kBig, AS: asBig, SMs: assign[0]},
+		{Name: "small", Kernel: kSmall, AS: asSmall, SMs: assign[1]},
+	}
+	s, err := NewMulti(cfg, tenants, MultiOptions{L2TLBPolicy: arch.IndexByTB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AttachController(cc); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Run() // panics on deadlock or a corrupted partition
+	if r.Tenants[0].InstsIssued == 0 || r.Tenants[1].InstsIssued == 0 {
+		t.Fatalf("a tenant issued nothing: %+v", r.Tenants)
+	}
+	if d, ok := s.Controller().Last(); !ok || !d.Rebalanced {
+		t.Error("departure did not trigger a rebalance")
 	}
 }
 
 func TestControllerFrozenMatchesStatic(t *testing.T) {
 	// A frozen controller must reproduce the plain static partition
 	// bit-identically: it never changes the assignment, and its periodic
-	// tick touches no model state. Check both engines.
-	for _, cp := range []int{1, 4} {
-		run := func(frozen bool) Result {
-			cfg := arch.Default()
-			tenants := twoTenants(t, cfg)
-			s, err := NewMulti(cfg, tenants, MultiOptions{L2TLBPolicy: arch.IndexByTB})
-			if err != nil {
+	// tick touches no model state.
+	run := func(frozen bool) Result {
+		cfg := arch.Default()
+		tenants := twoTenants(t, cfg)
+		s, err := NewMulti(cfg, tenants, MultiOptions{L2TLBPolicy: arch.IndexByTB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frozen {
+			if _, err := s.AttachController(control.Config{Period: 256, Frozen: true}); err != nil {
 				t.Fatal(err)
 			}
-			if frozen {
-				if _, err := s.AttachController(control.Config{Period: 256, Frozen: true}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.SetCellParallel(cp)
-			r := s.Run()
-			r.Stats = nil
-			return r
 		}
-		static, frozen := run(false), run(true)
-		if !reflect.DeepEqual(static, frozen) {
-			t.Errorf("cell-parallel %d: frozen controller diverged from the static partition:\n static: %+v\n frozen: %+v",
-				cp, static.Tenants, frozen.Tenants)
-		}
+		r := s.Run()
+		r.Stats = nil
+		return r
+	}
+	static, frozen := run(false), run(true)
+	if !reflect.DeepEqual(static, frozen) {
+		t.Errorf("frozen controller diverged from the static partition:\n static: %+v\n frozen: %+v",
+			static.Tenants, frozen.Tenants)
 	}
 }
 

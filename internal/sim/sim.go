@@ -126,11 +126,6 @@ type warpState struct {
 	// reuse is safe.
 	wake   func()
 	retire func()
-	// resume re-enters a deferred memory instruction's data-line loop once
-	// the barrier has resolved its translations (sharded engine only); pi is
-	// the warp's single in-flight deferred instruction.
-	resume func()
-	pi     *pendingInst
 }
 
 type slotState struct {
@@ -156,10 +151,9 @@ type smState struct {
 	// occupies one until the translation returns, so miss floods back up
 	// into the SM instead of being hidden by warp parallelism.
 	missHandlers []engine.Cycle
-	// Hot-path scratch, owned by the SM so the sharded engine's phase-1
-	// workers never share a buffer: one coalesced memory instruction
-	// produces at most WarpSize pages/lines, so these are sized once and
-	// reused for every instruction the SM issues.
+	// Hot-path scratch: one coalesced memory instruction produces at most
+	// WarpSize pages/lines, so these are sized once and reused for every
+	// instruction the SM issues.
 	co       trace.Coalesced
 	transBuf []pageDone
 	pickBuf  []vm.VPN // trans-aware warp scheduler's residency probes
@@ -167,19 +161,6 @@ type smState struct {
 	// Decaying <hits,total> counters backing the scheduler's hardware table.
 	schedHits, schedTotal int64
 	tbsRun                int
-	// shard is the SM's private execution context on the sharded engine
-	// (nil on the serial engine); pendBuf is its per-instruction page
-	// scratch, alongside the buffers above. pendingMiss tracks pages this SM
-	// deferred to the next barrier (keyed like the inflight table), so a
-	// re-miss whose placeholder was evicted within the epoch still merges
-	// instead of double-walking.
-	shard       *shardCtx
-	pendBuf     []pendPage
-	pendingMiss map[vm.VPN]struct{}
-	// slMSHR banks the translation MSHRs per address slice (sliced barrier
-	// only): phase 1 reads the bank owning the VPN, and only that slice's
-	// barrier pass ever writes it.
-	slMSHR []sliceMSHR
 }
 
 // Simulator runs one or more kernels to completion under one configuration.
@@ -214,9 +195,7 @@ type Simulator struct {
 	queueCap int
 
 	// Online partitioning controller (AttachController). ctlFn is the
-	// prebuilt periodic-tick callback; the tick is a global-queue event, so
-	// the sharded engine's epochs truncate at it and the counters it samples
-	// are identical at every worker count and epoch length.
+	// prebuilt periodic-tick callback.
 	ctl        *control.Controller
 	ctlPeriod  engine.Cycle
 	ctlFn      func()
@@ -254,43 +233,6 @@ type Simulator struct {
 	sampleFn        func() // prebuilt sampling callback
 
 	pwc *tlb.TLB
-
-	// Sharded-engine state (SetCellParallel >= 2): sharded selects the
-	// engine inside shared helpers, shards holds the per-SM contexts,
-	// applyCursors is the barrier's reused merge scratch, profile the
-	// phase breakdown, and onApply an optional test observer of the
-	// canonical barrier order.
-	cellParallel  int
-	epochOverride engine.Cycle
-	sharded       bool
-	shards        []*shardCtx
-	applyCursors  []int
-	applyHeap     []mergeEntry
-	profile       ShardProfile
-	onApply       func(t engine.Cycle, shard int, seq int64)
-
-	// Sliced-barrier state (SetL2Slices > 1 with SetCellParallel >= 2):
-	// l2Slices is the requested count, kSlices the effective power-of-two
-	// count after geometry clamping, sliceActive gates the sliced barrier,
-	// slices the per-slice contexts, xslice the direction-split crossbar,
-	// slicePool the barrier's worker pool. l2opt keeps the L2 TLB options
-	// for sub-TLB construction; the remaining fields are reused barrier
-	// scratch (fence refs, TB-count projection, segment bounds, scaled
-	// partition bounds).
-	l2Slices    int
-	kSlices     int
-	sliceActive bool
-	sliceShift  uint
-	sliceBits   uint
-	slices      []*sliceCtx
-	xslice      *noc.Sliced
-	slicePool   *engine.Pool
-	l2opt       tlb.Options
-	finRefs     []finRef
-	projTB      []int
-	segStart    []int
-	segEnd      []int
-	subBounds   []int
 
 	// stats is the run's metric tree; every component registers into it at
 	// New time and the sim-owned counters below live in its "sim" root.
@@ -450,7 +392,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		s.l2Partitioned = true
 	}
 	s.l2tlb = tlb.New(cfg.L2TLB, l2opt)
-	s.l2opt = l2opt // sub-TLB construction for the sliced barrier
 	if s.l2Partitioned {
 		s.l2tlb.ConfigureSlots(s.numSlots)
 	}
@@ -479,19 +420,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		// do not age out of the L2 while they are hot in an L1. The victim's
 		// ASID rides along so the write-back lands in its tenant's partition.
 		opt.OnEvict = func(asid vm.ASID, vpn vm.VPN, ppn vm.PPN) {
-			if s.sharded {
-				// Phase-1 eviction (placeholder inserts are the only L1
-				// insertions the sharded engine performs, and fills are
-				// payload-only updates): buffer the write-back as a shared
-				// op for the barrier instead of touching the L2 TLB here.
-				sh := s.sms[smID].shard
-				sh.ops = append(sh.ops, sharedOp{
-					t: sh.clock, seq: sh.seq, kind: opEvict,
-					asid: asid, vpn: vpn, ppn: ppn,
-				})
-				sh.seq++
-				return
-			}
 			sl := s.tenants[asid].slot
 			if !s.l2tlb.ContainsA(asid, sl, vpn) {
 				s.l2tlb.InsertA(asid, sl, vpn, ppn)
@@ -511,8 +439,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 			co:           coalescers[i],
 			transBuf:     make([]pageDone, arch.WarpSize),
 			pickBuf:      make([]vm.VPN, 0, arch.WarpSize),
-			pendBuf:      make([]pendPage, 0, arch.WarpSize),
-			pendingMiss:  make(map[vm.VPN]struct{}, 16),
 		}
 		sm.tickFn = func() { s.tick(sm) }
 		sm.l1tlb.ConfigureSlots(slots)
@@ -599,14 +525,9 @@ func uintLog2(v int) uint {
 	return n
 }
 
-// Run simulates every tenant's kernel to completion and returns the results.
-// With SetCellParallel(n >= 2) the sharded epoch-barrier engine runs the
-// SMs on up to n workers; otherwise the serial engine runs them on one
-// queue exactly as before.
+// Run simulates every tenant's kernel to completion on one event queue and
+// returns the results.
 func (s *Simulator) Run() Result {
-	if s.cellParallel >= 2 {
-		return s.runSharded(s.cellParallel)
-	}
 	s.scheduleArrivals()
 	s.dispatch()
 	if s.cfg.SampleInterval > 0 {
@@ -646,14 +567,7 @@ func (s *Simulator) sample() {
 		Walks:     s.walks.Value() - s.lastSampleWalks,
 	})
 	s.lastSampleHits, s.lastSampleAcc, s.lastSampleWalks = hits, acc, s.walks.Value()
-	pending := s.queue.Len() > 0
-	for _, sh := range s.shards {
-		if pending {
-			break
-		}
-		pending = sh.queue.Len() > 0
-	}
-	if pending { // only while other work remains
+	if s.queue.Len() > 0 { // only while other work remains
 		s.queue.Schedule(s.clock+engine.Cycle(s.cfg.SampleInterval), s.sampleFn)
 	}
 }
@@ -772,20 +686,11 @@ func (s *Simulator) place(tn *tenantState, sm *smState, tbIndex int) {
 	sm.tbsRun++
 	for w := range tb.Warps {
 		ws := &warpState{sm: sm, slot: slot, tn: tn, asid: tn.asid, seq: s.warpSeq, insts: tb.Warps[w].Insts}
-		if s.sharded {
-			ws.wake = func() {
-				ws.sm.ready = append(ws.sm.ready, ws)
-				s.shardArmTick(ws.sm, ws.sm.shard.clock)
-			}
-			ws.retire = func() { s.shardRetireWarp(ws) }
-			ws.resume = func() { s.shardResume(ws) }
-		} else {
-			ws.wake = func() {
-				ws.sm.ready = append(ws.sm.ready, ws)
-				s.armTick(ws.sm, s.clock)
-			}
-			ws.retire = func() { s.retireWarp(ws) }
+		ws.wake = func() {
+			ws.sm.ready = append(ws.sm.ready, ws)
+			s.armTick(ws.sm, s.clock)
 		}
+		ws.retire = func() { s.retireWarp(ws) }
 		s.warpSeq++
 		if len(ws.insts) == 0 {
 			s.retireWarp(ws)
@@ -797,9 +702,6 @@ func (s *Simulator) place(tn *tenantState, sm *smState, tbIndex int) {
 }
 
 // armTick schedules an issue tick for sm at cycle at (if none pending).
-// Called with the global clock current: serial-engine events, or the
-// sharded engine's barrier (dispatch placing new TBs), where the tick
-// lands on the SM's own queue.
 func (s *Simulator) armTick(sm *smState, at engine.Cycle) {
 	if sm.tickPending {
 		return
@@ -811,10 +713,6 @@ func (s *Simulator) armTick(sm *smState, at engine.Cycle) {
 		at = s.clock + 1
 	}
 	sm.tickPending = true
-	if s.sharded {
-		sm.shard.queue.SchedulePri(at, shardPri(s.clock, schedClsGlobal, 0), sm.tickFn)
-		return
-	}
 	s.queue.Schedule(at, sm.tickFn)
 }
 
@@ -1084,22 +982,15 @@ func (s *Simulator) recordTranslationLatency(lat engine.Cycle) {
 	s.transLatency.Observe(int64(lat))
 }
 
-// dataAccess models the data path for one line from cycle start: L1 cache,
-// then on a miss the shared tail (crossbar, L2 slice, DRAM).
+// dataAccess models the data path for one line from cycle start: the L1
+// cache, then on a miss the crossbar to the line's memory partition, the L2
+// cache slice, on an L2 miss the partition's DRAM banks, and the reply
+// traversal.
 func (s *Simulator) dataAccess(sm *smState, phys cache.LineAddr, start engine.Cycle) engine.Cycle {
-	if sm.l1cache.Access(phys) {
-		return start + engine.Cycle(s.cfg.L1Cache.HitLatency)
-	}
-	return s.dataMiss(sm, phys, start)
-}
-
-// dataMiss is the shared-resource tail of a data access that missed the L1
-// cache: the crossbar to the line's memory partition, the L2 cache slice,
-// on an L2 miss the partition's DRAM banks, then the reply traversal. The
-// sharded engine applies it at epoch barriers; the serial engine calls it
-// inline from dataAccess.
-func (s *Simulator) dataMiss(sm *smState, phys cache.LineAddr, start engine.Cycle) engine.Cycle {
 	t := start + engine.Cycle(s.cfg.L1Cache.HitLatency)
+	if sm.l1cache.Access(phys) {
+		return t
+	}
 	part := s.mem.Partition(phys)
 	arrive := s.xbar.Traverse(sm.id, part, t)
 	t = arrive + engine.Cycle(s.cfg.L2Cache.HitLatency)
@@ -1145,40 +1036,10 @@ func (s *Simulator) translate(tn *tenantState, sm *smState, slot int, vpn vm.VPN
 	return ppn, done, false
 }
 
-// pendingBase is the sentinel PPN the sharded engine installs in an L1 TLB
-// entry at miss time; the barrier later rewrites it with the real
-// translation. Detection is a range check (pendingThreshold) rather than
-// equality because compressed entries return base+offset PPNs, shifting the
-// sentinel by up to the compression span in either direction. Real PPNs are
-// allocated densely from zero and can never reach the threshold.
-const (
-	pendingBase      vm.PPN = 1 << 48
-	pendingThreshold vm.PPN = 1 << 47
-)
-
-// fillL1 installs a resolved translation into an SM's L1 TLB. The serial
-// engine inserts directly (fill time sets the entry's replacement age); the
-// sharded engine instead rewrites the placeholder installed at miss time —
-// payload only, so the entry ages from the miss — and retires the page from
-// the SM's pending-miss set. A placeholder evicted within the epoch makes
-// the update a no-op: the fill is dropped, exactly as if the entry had been
-// evicted right after filling.
-func (s *Simulator) fillL1(sm *smState, slot int, asid vm.ASID, vpn vm.VPN, ppn vm.PPN) {
-	if !s.sharded {
-		sm.l1tlb.InsertA(asid, slot, vpn, ppn)
-		return
-	}
-	sm.l1tlb.UpdateA(asid, slot, vpn, ppn)
-	delete(sm.pendingMiss, tenantKey(asid, vpn))
-}
-
 // translateMiss is the shared-resource tail of a translation that missed
 // the SM's L1 TLB: MSHR merge/occupancy, the crossbar to the L2 TLB bank,
-// the walker pool, and the reply. t1 is the cycle the L1 lookup resolved.
-// The request's issue cycle is s.clock — the serial engine calls this
-// inline from translate; the sharded engine applies it at an epoch barrier
-// with s.clock rolled back to the buffered request's cycle, so both paths
-// run the identical model.
+// the walker pool, and the reply. t1 is the cycle the L1 lookup resolved;
+// the request's issue cycle is s.clock.
 func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm.VPN, t1 engine.Cycle) (vm.PPN, engine.Cycle) {
 	asid := tn.asid
 	key := tenantKey(asid, vpn)
@@ -1216,7 +1077,7 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 	t3 := start + engine.Cycle(l2cost)
 	if hit2 {
 		done := s.xbar.Return(tlbPart, sm.id, t3)
-		s.fillL1(sm, slot, asid, vpn, ppn2)
+		sm.l1tlb.InsertA(asid, slot, vpn, ppn2)
 		s.traceFill(sm.id, vpn, done, "l2tlb")
 		sm.inflight.put(key, ppn2, done, s.clock)
 		sm.missHandlers[h] = done
@@ -1232,7 +1093,7 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 			wait = t3
 		}
 		done := s.xbar.Return(tlbPart, sm.id, wait)
-		s.fillL1(sm, slot, asid, vpn, inf.ppn)
+		sm.l1tlb.InsertA(asid, slot, vpn, inf.ppn)
 		sm.inflight.put(key, inf.ppn, done, s.clock)
 		sm.missHandlers[h] = done
 		tn.stallWalk += int64(done - s.clock)
@@ -1273,7 +1134,7 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 	s.traceWalk(sm.id, vpn, wstart, wdone, faulted)
 
 	s.l2tlb.InsertA(asid, tn.slot, vpn, wppn)
-	s.fillL1(sm, slot, asid, vpn, wppn)
+	sm.l1tlb.InsertA(asid, slot, vpn, wppn)
 	s.traceFill(sm.id, vpn, wdone, "walk")
 	s.l2Inflight.put(key, wppn, wdone, s.clock)
 	done := s.xbar.Return(tlbPart, sm.id, wdone)

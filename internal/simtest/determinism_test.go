@@ -13,9 +13,9 @@ import (
 	"gputlb/internal/workloads"
 )
 
-// testParams keeps the matrix workloads small enough to run the full cross
-// product in seconds while still exercising every engine path (TLB misses,
-// walks, faults, dispatch waves).
+// testParams keeps the workloads small enough to run every check in
+// seconds while still exercising every model path (TLB misses, walks,
+// faults, dispatch waves).
 func testParams() workloads.Params {
 	return workloads.Params{PageShift: 12, Seed: 1, Scale: 0.1}
 }
@@ -34,9 +34,9 @@ func soloBuild(t *testing.T, bench string, mut func(*arch.Config)) Build {
 	}
 }
 
-// soloVariants are the solo configurations of the determinism matrix: the
-// baseline plus each scheduler/sampling feature that changes the engine's
-// event mix.
+// soloVariants are the solo configurations of the determinism checks: the
+// baseline plus each scheduler/sampling feature that changes the event
+// mix.
 var soloVariants = []struct {
 	name string
 	mut  func(*arch.Config)
@@ -47,27 +47,15 @@ var soloVariants = []struct {
 	{"sampling", func(c *arch.Config) { c.SampleInterval = 1000 }},
 }
 
-// TestSoloWorkerMatrix: every solo variant's stats snapshot and full trace
-// stream are byte-identical across the worker-count matrix.
-func TestSoloWorkerMatrix(t *testing.T) {
+// TestSoloSerialDeterminism: every solo variant runs byte-identically twice
+// (its identity to the committed golden stats is pinned separately by the
+// experiments golden test).
+func TestSoloSerialDeterminism(t *testing.T) {
 	for _, v := range soloVariants {
 		t.Run(v.name, func(t *testing.T) {
-			CheckWorkerInvariance(t, soloBuild(t, "bfs", v.mut), nil, true)
+			CheckSerialUnchanged(t, soloBuild(t, "bfs", v.mut))
 		})
 	}
-}
-
-// TestSoloSerialDeterminism: the serial engine stays deterministic with the
-// sharded machinery compiled in (its byte-identity to the committed golden
-// stats is pinned separately by the experiments golden test).
-func TestSoloSerialDeterminism(t *testing.T) {
-	CheckSerialUnchanged(t, soloBuild(t, "bfs", func(*arch.Config) {}))
-}
-
-// TestSoloEpochMatrix: epoch length is invisible in the results, from
-// degenerate one-cycle epochs up to the lookahead cap.
-func TestSoloEpochMatrix(t *testing.T) {
-	CheckEpochInvariance(t, soloBuild(t, "bfs", func(*arch.Config) {}), 3, nil)
 }
 
 // multiBuild returns a Build for a two-tenant co-run under the given L2 TLB
@@ -93,36 +81,11 @@ func multiBuild(t *testing.T, mode multi.TLBMode, assign sched.SMAssignment) Bui
 	}
 }
 
-// TestMultiTenantMatrix crosses every L2 TLB tenancy mode with every SM
-// assignment policy and checks worker-count invariance (with trace-stream
-// diffs) for each cell.
-func TestMultiTenantMatrix(t *testing.T) {
-	modes := []multi.TLBMode{multi.TLBSharedMode, multi.TLBStaticMode, multi.TLBDynamicMode}
-	assigns := []sched.SMAssignment{sched.AssignSpatial, sched.AssignInterleaved, sched.AssignShared}
-	for _, mode := range modes {
-		for _, assign := range assigns {
-			t.Run(fmt.Sprintf("%s_%s", mode, assign), func(t *testing.T) {
-				CheckWorkerInvariance(t, multiBuild(t, mode, assign), []int{2, 8}, true)
-			})
-		}
-	}
-}
-
-// TestMultiTenantEpochMatrix: one multi-tenant cell per TLB mode across the
-// epoch-length matrix.
-func TestMultiTenantEpochMatrix(t *testing.T) {
-	for _, mode := range []multi.TLBMode{multi.TLBSharedMode, multi.TLBDynamicMode} {
-		t.Run(mode.String(), func(t *testing.T) {
-			CheckEpochInvariance(t, multiBuild(t, mode, sched.AssignSpatial), 4, nil)
-		})
-	}
-}
-
 // ctlBuild returns a Build for a two-tenant co-run with the online
 // partitioning controller attached — and, with churn, two mid-run arrivals
 // through a bounded admission queue. The short period and zero cooldown
-// force many decisions, so any counter drift across workers or epoch
-// boundaries would change an early decision and cascade into the results.
+// force many decisions, so any counter drift would change an early decision
+// and cascade into the results.
 func ctlBuild(t *testing.T, churn bool) Build {
 	t.Helper()
 	return func() (*sim.Simulator, error) {
@@ -160,28 +123,8 @@ func ctlBuild(t *testing.T, churn bool) Build {
 	}
 }
 
-// TestControllerWorkerMatrix: controller cells — with and without tenant
-// churn — are byte-identical in stats and trace stream across worker counts.
-func TestControllerWorkerMatrix(t *testing.T) {
-	for _, churn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("churn=%v", churn), func(t *testing.T) {
-			CheckWorkerInvariance(t, ctlBuild(t, churn), []int{2, 4, 8}, true)
-		})
-	}
-}
-
-// TestControllerEpochMatrix: controller decisions key only on
-// barrier-sampled state, so epoch length stays invisible even with churn.
-func TestControllerEpochMatrix(t *testing.T) {
-	for _, churn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("churn=%v", churn), func(t *testing.T) {
-			CheckEpochInvariance(t, ctlBuild(t, churn), 4, nil)
-		})
-	}
-}
-
-// TestControllerSerialDeterminism: the serial engine runs controller + churn
-// cells deterministically too.
+// TestControllerSerialDeterminism: controller + churn cells run
+// deterministically too.
 func TestControllerSerialDeterminism(t *testing.T) {
 	CheckSerialUnchanged(t, ctlBuild(t, true))
 }

@@ -1,18 +1,14 @@
-// Package simtest is a reusable determinism harness for the simulator's
-// execution engines.
+// Package simtest checks the simulator against properties that hold for
+// any correct run, independent of the committed golden numbers.
 //
-// The sharded epoch-barrier engine's central promise is that its results
-// are a pure function of the simulated configuration: the worker count, the
-// epoch length, and GOMAXPROCS only decide how the work is scheduled onto
-// the host, never what the simulation computes. simtest turns that promise
-// into a mechanical check. A Build function constructs a fresh simulator
-// for one trial; the harness runs it across a matrix of cell-parallelism
-// values or epoch lengths and diffs the full stats-registry snapshots — and
-// optionally the complete trace event streams — byte for byte.
-//
-// The harness is deliberately engine-agnostic: any code that can hand back
-// a *sim.Simulator (solo kernels, multi-tenant co-runs, custom configs) can
-// be matrixed. Package-level tests cover the stock configurations: the solo
-// scheduler/sampling variants, and every multi-tenant L2 TLB mode crossed
-// with every SM assignment policy.
+// A Build function constructs a fresh simulator for one trial. Run
+// executes it and returns the Result, the full stats-registry snapshot and
+// optionally the complete trace event stream. Package tests use it in two
+// ways: determinism (two runs of the same configuration are byte-identical
+// in stats and trace) and conservation (counters that different parts of
+// the model keep must agree — every access is a hit or a miss, every
+// placed thread block and issued instruction is counted once, a walk only
+// follows a TLB miss). The stock configurations cover the solo
+// scheduler/sampling variants, every Table II benchmark, the translation
+// mechanisms, multi-tenant co-runs and the churn controller.
 package simtest

@@ -11,7 +11,7 @@ import (
 
 // mechConfigs are the non-base translation mechanisms with the frame
 // allocator each is evaluated under; base's determinism is pinned by the
-// golden stats and every other matrix cell.
+// golden stats and every other check.
 var mechConfigs = []struct {
 	mech  string
 	alloc string
@@ -28,35 +28,15 @@ func mechMut(mech, alloc string) func(*arch.Config) {
 	}
 }
 
-// TestMechWorkerMatrix: each mechanism's stats snapshot and trace stream are
-// byte-identical across the worker-count matrix — mechanism side tables
-// (sub-slots, predictor counters, run bounds) are driven only by the
-// deterministic op order, never by which goroutine advances a shard.
-func TestMechWorkerMatrix(t *testing.T) {
-	for _, mc := range mechConfigs {
-		t.Run(mc.mech, func(t *testing.T) {
-			CheckWorkerInvariance(t, soloBuild(t, "bfs", mechMut(mc.mech, mc.alloc)), []int{2, 8}, true)
-		})
-	}
-}
-
-// TestMechSliceMatrix: each mechanism under the sliced barrier is a pure
-// function of the canonical op stream for fixed K — slice sub-TLB
-// mechanisms fold deterministically at run end.
-func TestMechSliceMatrix(t *testing.T) {
-	for _, mc := range mechConfigs {
-		t.Run(mc.mech, func(t *testing.T) {
-			CheckSliceInvariance(t, soloBuild(t, "bfs", mechMut(mc.mech, mc.alloc)), 2, []int{2, 8}, nil, false)
-		})
-	}
-}
-
-// TestMechSerialDeterminism: the serial engine runs every mechanism
-// deterministically too.
+// TestMechSerialDeterminism: every mechanism runs byte-identically twice,
+// solo and on a shared-L2 co-run — mechanism side tables (sub-slots,
+// predictor counters, run bounds), including cross-ASID sub-entry state,
+// are driven only by the simulated request order.
 func TestMechSerialDeterminism(t *testing.T) {
 	for _, mc := range mechConfigs {
 		t.Run(mc.mech, func(t *testing.T) {
 			CheckSerialUnchanged(t, soloBuild(t, "bfs", mechMut(mc.mech, mc.alloc)))
+			CheckSerialUnchanged(t, mechMultiBuild(t, mc.mech, mc.alloc))
 		})
 	}
 }
@@ -76,16 +56,5 @@ func mechMultiBuild(t *testing.T, mech, alloc string) Build {
 		cfg.TLBMech = mech
 		cfg.AllocMode = alloc
 		return sim.NewMulti(cfg, tenants, sim.MultiOptions{})
-	}
-}
-
-// TestMechMultiTenantMatrix: the multi-tenant cells of the mechanism study
-// are worker-invariant — cross-ASID sub-entry state stays deterministic
-// when tenants race on different shards.
-func TestMechMultiTenantMatrix(t *testing.T) {
-	for _, mc := range mechConfigs {
-		t.Run(mc.mech, func(t *testing.T) {
-			CheckWorkerInvariance(t, mechMultiBuild(t, mc.mech, mc.alloc), []int{2, 8}, true)
-		})
 	}
 }

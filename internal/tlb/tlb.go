@@ -166,26 +166,6 @@ func (t *TLB) RegisterStats(r *stats.Registry) {
 // ResetStats zeroes the counters without touching contents.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
 
-// AddStats folds externally accumulated counters (an address slice's
-// sub-TLB) into this TLB's stats so one registered stats node reports the
-// combined activity.
-func (t *TLB) AddStats(s Stats) {
-	t.stats.Accesses += s.Accesses
-	t.stats.Hits += s.Hits
-	t.stats.Misses += s.Misses
-	t.stats.ProbeSets += s.ProbeSets
-	t.stats.Evictions += s.Evictions
-	t.stats.Spills += s.Spills
-	t.stats.Coalesced += s.Coalesced
-	t.stats.FlagSets += s.FlagSets
-	t.stats.FlagResets += s.FlagResets
-}
-
-// FoldMech folds src's mechanism-level counters into this TLB's mechanism
-// — the sliced barrier's sub-TLB roll-up, the mechanism analogue of
-// AddStats. Both TLBs must run the same mechanism kind.
-func (t *TLB) FoldMech(src *TLB) { t.mech.Fold(src.mech) }
-
 // ConfigureSlots sets the number of concurrent TB slots the owning SM runs
 // (determined at kernel launch from the TB resource needs). It resets the
 // sharing state but deliberately keeps TLB contents: TB ids are reused
@@ -342,28 +322,6 @@ func (t *TLB) ContainsA(asid vm.ASID, slot int, vpn vm.VPN) bool {
 				continue
 			}
 			if _, ok := t.mech.Peek(e, t.entryIndex(si, w), asid, vpn); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// UpdateA rewrites the payload of an existing entry for (asid, slot, vpn)
-// without touching the LRU stamp, the probe clock, or any counter,
-// reporting whether the entry was found. The sharded engine uses it to
-// resolve a placeholder entry installed at miss time into the real PPN at
-// the epoch barrier: the entry's replacement age must reflect the miss (the
-// insertion), not the fill, so the two engines age entries identically.
-func (t *TLB) UpdateA(asid vm.ASID, slot int, vpn vm.VPN, ppn vm.PPN) bool {
-	tag := t.mech.Tag(vpn)
-	for _, si := range t.setsToProbe(slot, vpn) {
-		for w := range t.sets[si] {
-			e := &t.sets[si][w]
-			if !e.Valid || e.VPN != tag {
-				continue
-			}
-			if t.mech.Update(e, t.entryIndex(si, w), asid, vpn, ppn) {
 				return true
 			}
 		}

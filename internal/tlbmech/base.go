@@ -28,12 +28,12 @@ func newBase(compress bool, span int) *baseMech {
 	return m
 }
 
-func (m *baseMech) Name() string         { return "base" }
-func (m *baseMech) Attach(_, _ int)      {}
-func (m *baseMech) DeadAware() bool      { return false }
+func (m *baseMech) Name() string          { return "base" }
+func (m *baseMech) Attach(_, _ int)       {}
+func (m *baseMech) DeadAware() bool       { return false }
 func (m *baseMech) Dead(*Entry, int) bool { return false }
-func (m *baseMech) OnEvict(*Entry, int)  {}
-func (m *baseMech) OnFlush()             {}
+func (m *baseMech) OnEvict(*Entry, int)   {}
+func (m *baseMech) OnFlush()              {}
 
 // bit returns the presence-bitmap bit for vpn within its group, using the
 // exact arithmetic of the historical TLB.
@@ -102,23 +102,6 @@ func (m *baseMech) Fill(e *Entry, _ int, asid vm.ASID, vpn, tag vm.VPN, ppn vm.P
 	}
 }
 
-func (m *baseMech) Update(e *Entry, _ int, asid vm.ASID, vpn vm.VPN, ppn vm.PPN) bool {
-	if e.ASID != asid {
-		return false
-	}
-	if m.compress {
-		if e.Mask&m.bit(vpn) == 0 {
-			return false
-		}
-		// Store the group-base PPN the run would have so a lookup of vpn
-		// returns exactly ppn.
-		e.PPN = ppn - vm.PPN(vpn-e.VPN)
-	} else {
-		e.PPN = ppn
-	}
-	return true
-}
-
 func (m *baseMech) Translations(e *Entry, _ int, yield func(vm.ASID, vm.VPN, vm.PPN)) {
 	// Compressed entries report their base page, like the historical
 	// OnEvict callback did.
@@ -126,4 +109,3 @@ func (m *baseMech) Translations(e *Entry, _ int, yield func(vm.ASID, vm.VPN, vm.
 }
 
 func (m *baseMech) RegisterStats(*stats.Registry) {} // nothing: golden shape
-func (m *baseMech) Fold(Mechanism)                {}

@@ -122,14 +122,6 @@ func (m *deadblockMech) Fill(e *Entry, idx int, asid vm.ASID, vpn, tag vm.VPN, p
 	}
 }
 
-func (m *deadblockMech) Update(e *Entry, _ int, asid vm.ASID, _ vm.VPN, ppn vm.PPN) bool {
-	if e.ASID != asid {
-		return false
-	}
-	e.PPN = ppn
-	return true
-}
-
 func (m *deadblockMech) Dead(_ *Entry, idx int) bool { return m.dead[idx] }
 
 func (m *deadblockMech) OnEvict(e *Entry, idx int) {
@@ -174,12 +166,4 @@ func (m *deadblockMech) RegisterStats(r *stats.Registry) {
 		}
 		return float64(m.correct) / float64(m.predictions)
 	})
-}
-
-func (m *deadblockMech) Fold(src Mechanism) {
-	s := src.(*deadblockMech)
-	m.predictions += s.predictions
-	m.correct += s.correct
-	m.mispredicts += s.mispredicts
-	m.deadEvicts += s.deadEvicts
 }

@@ -30,6 +30,5 @@
 //     contiguity).
 //
 // Mechanisms are NOT safe for concurrent use and are never shared: every
-// TLB (including each address slice's sub-TLB) builds its own instance, and
-// the sliced barrier folds sub-TLB mechanism counters back with Fold.
+// TLB builds its own instance.
 package tlbmech

@@ -120,18 +120,6 @@ func (m *largereachMech) Fill(e *Entry, idx int, asid vm.ASID, vpn, tag vm.VPN, 
 	m.fills++
 }
 
-func (m *largereachMech) Update(e *Entry, idx int, asid vm.ASID, vpn vm.VPN, ppn vm.PPN) bool {
-	if e.ASID != asid {
-		return false
-	}
-	off := uint16(vpn - e.VPN)
-	if off < m.lo[idx] || off >= m.hi[idx] {
-		return false
-	}
-	e.PPN = ppn - vm.PPN(off)
-	return true
-}
-
 func (m *largereachMech) OnEvict(e *Entry, idx int) {
 	n := int64(m.hi[idx] - m.lo[idx])
 	m.reach.Observe(n)
@@ -158,17 +146,4 @@ func (m *largereachMech) RegisterStats(r *stats.Registry) {
 	mr.CounterFunc("reach_hits", func() int64 { return m.reachHits })
 	mr.GaugeFunc("max_reach", func() float64 { return float64(m.maxReach) })
 	mr.AttachHistogram("reach", m.reach)
-}
-
-func (m *largereachMech) Fold(src Mechanism) {
-	s := src.(*largereachMech)
-	m.fills += s.fills
-	m.extensions += s.extensions
-	m.reachHits += s.reachHits
-	if s.maxReach > m.maxReach {
-		m.maxReach = s.maxReach
-	}
-	if err := m.reach.Merge(s.reach); err != nil {
-		panic("tlbmech: reach histogram shape mismatch: " + err.Error())
-	}
 }

@@ -52,7 +52,7 @@ const (
 // an *Entry also take the entry's global index idx = set*assoc+way, which
 // mechanisms use to address their per-entry side tables. Callers guarantee
 // the entry's tag already matches (e.Valid && e.VPN == Tag(vpn)) before
-// calling Lookup, Peek, Absorb, or Update. Mechanisms are single-goroutine,
+// calling Lookup, Peek, or Absorb. Mechanisms are single-goroutine,
 // like the TLBs that own them.
 type Mechanism interface {
 	// Name returns the mechanism's registry name ("base", "subentry", ...).
@@ -70,7 +70,7 @@ type Mechanism interface {
 	// refreshes the LRU stamp on a hit.
 	Lookup(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool)
 	// Peek is Lookup without any training or statistics side effects
-	// (Contains/Update probes must not disturb predictor state).
+	// (Contains probes must not disturb predictor state).
 	Peek(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool)
 	// Absorb tries to fold vpn→ppn into a tag-matching entry (refresh,
 	// coalesce, extend). clock is the TLB's current probe clock for stamp
@@ -79,11 +79,6 @@ type Mechanism interface {
 	// Fill overwrites e with a fresh entry for vpn→ppn. tag is Tag(vpn),
 	// precomputed by the caller.
 	Fill(e *Entry, idx int, asid vm.ASID, vpn, tag vm.VPN, ppn vm.PPN, clock uint64)
-	// Update rewrites the payload for (asid, vpn) in a tag-matching entry
-	// without touching recency or any counter, reporting whether the entry
-	// actually covered the page (placeholder resolution at the sharded
-	// engine's barrier).
-	Update(e *Entry, idx int, asid vm.ASID, vpn vm.VPN, ppn vm.PPN) bool
 	// DeadAware reports whether the victim scan should ask Dead at all; it
 	// is constant for a mechanism's lifetime, letting the base path skip
 	// the scan entirely.
@@ -106,9 +101,6 @@ type Mechanism interface {
 	// TLB's own registry node). base registers nothing, keeping base
 	// snapshots byte-identical to the pre-mechanism TLB.
 	RegisterStats(r *stats.Registry)
-	// Fold adds src's mechanism-level counters into this mechanism — the
-	// sliced barrier's sub-TLB roll-up. src must be the same kind.
-	Fold(src Mechanism)
 }
 
 // Spec selects a mechanism by name with its tuning knobs. The zero value

@@ -145,25 +145,6 @@ func TestLargereachRuns(t *testing.T) {
 	}
 }
 
-// TestFoldMergesCounters: folding a source mechanism accumulates its
-// registry-visible counters, the sliced barrier's roll-up path.
-func TestFoldMergesCounters(t *testing.T) {
-	a := build(t, "largereach").(*largereachMech)
-	b := build(t, "largereach").(*largereachMech)
-	var e Entry
-	b.Fill(&e, 0, 0, 64, 64, 10, 1)
-	b.OnEvict(&e, 0)
-	a.Fold(b)
-	if a.fills != 1 || a.maxReach != 1 {
-		t.Errorf("fold: fills=%d maxReach=%d, want 1,1", a.fills, a.maxReach)
-	}
-	r := stats.NewRegistry("tlb")
-	a.RegisterStats(r)
-	if r.Snapshot() == nil {
-		t.Fatal("nil snapshot")
-	}
-}
-
 // TestBaseRegistersNothing: the base mechanism must not add registry nodes —
 // base snapshots are pinned byte-for-byte against the pre-mechanism goldens.
 func TestBaseRegistersNothing(t *testing.T) {

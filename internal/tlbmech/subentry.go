@@ -36,10 +36,10 @@ func (m *subentryMech) Attach(sets, assoc int) {
 	m.masks = make([]uint8, n)
 }
 
-func (m *subentryMech) Tag(vpn vm.VPN) vm.VPN    { return vpn }
-func (m *subentryMech) Index(vpn vm.VPN) uint64  { return uint64(vpn) }
-func (m *subentryMech) Dead(*Entry, int) bool    { return false }
-func (m *subentryMech) OnEvict(*Entry, int)      {}
+func (m *subentryMech) Tag(vpn vm.VPN) vm.VPN   { return vpn }
+func (m *subentryMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) }
+func (m *subentryMech) Dead(*Entry, int) bool   { return false }
+func (m *subentryMech) OnEvict(*Entry, int)     {}
 
 func (m *subentryMech) Lookup(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool) {
 	mask := m.masks[idx]
@@ -82,17 +82,6 @@ func (m *subentryMech) Fill(e *Entry, idx int, asid vm.ASID, vpn, tag vm.VPN, pp
 	m.subFills++
 }
 
-func (m *subentryMech) Update(e *Entry, idx int, asid vm.ASID, vpn vm.VPN, ppn vm.PPN) bool {
-	if m.masks[idx]&(1<<asid) == 0 {
-		return false
-	}
-	m.slots[idx*vm.MaxTenants+int(asid)] = ppn + 1
-	if e.ASID == asid {
-		e.PPN = ppn
-	}
-	return true
-}
-
 func (m *subentryMech) Translations(e *Entry, idx int, yield func(vm.ASID, vm.VPN, vm.PPN)) {
 	mask := m.masks[idx]
 	for a := 0; a < vm.MaxTenants && mask != 0; a++ {
@@ -123,12 +112,4 @@ func (m *subentryMech) RegisterStats(r *stats.Registry) {
 		}
 		return float64(m.sharedTags) / float64(m.subFills)
 	})
-}
-
-func (m *subentryMech) Fold(src Mechanism) {
-	s := src.(*subentryMech)
-	m.tagFills += s.tagFills
-	m.subFills += s.subFills
-	m.sharedTags += s.sharedTags
-	m.sharedHits += s.sharedHits
 }

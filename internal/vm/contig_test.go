@@ -73,15 +73,15 @@ func TestContigDeterministicAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestContigFrameBounded: every contig frame stays far below the sharded
-// engine's placeholder threshold (2^47), so placeholder detection can never
-// mistake a real contig frame for a pending translation.
+// TestContigFrameBounded: every contig frame is nonzero and stays inside
+// the hashed subregion space — a contigFrameBits-wide base times
+// ContigRunPages — whatever the VPN.
 func TestContigFrameBounded(t *testing.T) {
-	const pendingThreshold = 1 << 47
+	const bound = 1<<contigFrameBits*ContigRunPages + 1
 	for _, vpn := range []VPN{0, 1, 511, 512, 1 << 20, 1<<36 - 1, 1 << 40} {
 		p := contigFrame(vpn)
-		if uint64(p) >= pendingThreshold {
-			t.Errorf("contigFrame(%d) = %#x crosses the placeholder threshold", vpn, uint64(p))
+		if uint64(p) >= bound {
+			t.Errorf("contigFrame(%d) = %#x is outside the %d-bit subregion space", vpn, uint64(p), contigFrameBits)
 		}
 		if p == 0 {
 			t.Errorf("contigFrame(%d) = 0, frame 0 is reserved", vpn)

@@ -37,12 +37,11 @@ const Levels = 4
 const bitsPerLevel = 9
 
 // pageTableNode is one 512-entry radix node. Interior links are atomic
-// pointers so concurrent walkers touching disjoint VPN ranges (the sliced
-// barrier's per-slice passes) can lazily create interior nodes without
-// locks: creation races are resolved by compare-and-swap, and the final
-// radix structure is identical regardless of who wins. Leaf entries stay
-// plain PPNs — every leaf element is only ever written by the one slice
-// that owns its VPN, so element-granular writes never race.
+// pointers so goroutines mapping disjoint VPN ranges can lazily create
+// interior nodes without locks: creation races are resolved by
+// compare-and-swap, and the final radix structure is identical regardless
+// of who wins. Leaf entries stay plain PPNs, so two goroutines must never
+// map the same leaf.
 type pageTableNode struct {
 	children [1 << bitsPerLevel]atomic.Pointer[pageTableNode] // interior
 	leaves   [1 << bitsPerLevel]PPN                           // leaf level, +1 encoded
@@ -160,7 +159,6 @@ func (pt *PageTable) Translate(vpn VPN) (PPN, bool) {
 // with per-allocation scatter, mimicking a fragmented physical space.
 type FrameAllocator struct {
 	next    PPN
-	base    PPN // first frame this allocator may hand out
 	rng     *rand.Rand
 	scatter int // 0 = contiguous; otherwise max random gap between frames
 }
@@ -169,14 +167,7 @@ type FrameAllocator struct {
 // reserved so a zero PPN never aliases a real frame). scatter > 0 adds a
 // random gap of up to scatter frames between consecutive allocations.
 func NewFrameAllocator(seed int64, scatter int) *FrameAllocator {
-	return newFrameAllocatorAt(1, seed, scatter)
-}
-
-// newFrameAllocatorAt returns an allocator bump-allocating from the given
-// base frame; per-slice allocators use disjoint bases so concurrent slices
-// never hand out overlapping frames.
-func newFrameAllocatorAt(base PPN, seed int64, scatter int) *FrameAllocator {
-	return &FrameAllocator{next: base, base: base, rng: rand.New(rand.NewSource(seed)), scatter: scatter}
+	return &FrameAllocator{next: 1, rng: rand.New(rand.NewSource(seed)), scatter: scatter}
 }
 
 // Alloc returns the next free physical frame.
@@ -198,7 +189,7 @@ func (a *FrameAllocator) AllocN(n int) PPN {
 
 // Allocated returns how many frame numbers have been consumed (including
 // scatter gaps).
-func (a *FrameAllocator) Allocated() uint64 { return uint64(a.next - a.base) }
+func (a *FrameAllocator) Allocated() uint64 { return uint64(a.next - 1) }
 
 // AllocMode selects how demand paging picks physical frames.
 type AllocMode int
@@ -242,16 +233,15 @@ func (m AllocMode) String() string {
 	return "firsttouch"
 }
 
-// contigFrameBits bounds the hashed subregion base so every contig frame
-// stays far below the sharded engine's placeholder-PPN threshold (2^47).
+// contigFrameBits bounds the hashed subregion base (and so every contig
+// frame) to 36 bits.
 const contigFrameBits = 36
 
 // contigFrame returns AllocContig's frame for vpn: the 512-page subregion's
 // base frame is a multiplicative hash of the subregion number (bijective
 // over 36 bits, so distinct subregions never collide within any realistic
-// footprint), and pages within the subregion get consecutive frames. Being
-// a pure function of position, it is race-free under concurrent TouchSlice
-// and yields identical PPNs in every engine and slicing configuration.
+// footprint), and pages within the subregion get consecutive frames. It is
+// a pure function of position, independent of first-touch order.
 func contigFrame(vpn VPN) PPN {
 	sub := uint64(vpn) / ContigRunPages
 	base := (sub * 0x9E3779B97F4A7C15) & (1<<contigFrameBits - 1)
@@ -276,7 +266,6 @@ func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 type AddressSpace struct {
 	pt          *PageTable
 	frames      *FrameAllocator
-	sliceFrames []*FrameAllocator // per-slice allocators, set by ConfigureSlices
 	pageShift   uint
 	seed        int64
 	scatter     int
@@ -352,11 +341,7 @@ func (as *AddressSpace) RegisterStats(r *stats.Registry) {
 	r.CounterFunc("faults", func() int64 { return int64(as.faults.Load()) })
 	r.CounterFunc("mapped_pages", func() int64 { return int64(as.pt.Mapped()) })
 	r.CounterFunc("frames_allocated", func() int64 {
-		n := as.frames.Allocated() + as.contigPages.Load()
-		for _, fa := range as.sliceFrames {
-			n += fa.Allocated()
-		}
-		return int64(n)
+		return int64(as.frames.Allocated() + as.contigPages.Load())
 	})
 	r.CounterFunc("regions", func() int64 { return int64(len(as.regions)) })
 }
@@ -391,46 +376,10 @@ func (as *AddressSpace) blockPages() int {
 	return BasicBlockPages
 }
 
-// sliceFrameBits positions per-slice frame-allocator bases 2^40 frames
-// apart: far enough that slice pools never collide over any simulated
-// footprint, yet well below the simulator's placeholder-PPN threshold.
-const sliceFrameBits = 40
-
-// ConfigureSlices equips the space with k per-slice frame allocators at
-// disjoint bases so TouchSlice can demand-page concurrently from each
-// slice. Slice s allocates frames from 1 + s<<sliceFrameBits with a
-// slice-salted scatter stream; the serial Touch allocator is untouched.
-// Reconfiguring with the same k is a no-op; the method is not safe to call
-// concurrently with TouchSlice.
-func (as *AddressSpace) ConfigureSlices(k int) {
-	if k < 1 || len(as.sliceFrames) == k {
-		return
-	}
-	as.sliceFrames = make([]*FrameAllocator, k)
-	for s := range as.sliceFrames {
-		base := PPN(1) + PPN(s)<<sliceFrameBits
-		as.sliceFrames[s] = newFrameAllocatorAt(base, as.seed+int64(s)+1, as.scatter)
-	}
-}
-
 // Touch resolves the page containing a, mapping its whole basic block on
 // first touch (UVM demand paging). It reports the PPN and whether this
 // access faulted.
 func (as *AddressSpace) Touch(a Addr) (PPN, bool) {
-	return as.touchFrom(a, as.frames)
-}
-
-// TouchSlice is Touch using slice s's frame allocator. Callers must route
-// every page of a basic block to the same slice (the block-aligned VPN
-// slicing the simulator uses guarantees this), which makes concurrent
-// TouchSlice calls for distinct slices race-free: they populate disjoint
-// leaf entries from disjoint frame pools, and interior radix nodes are
-// created with lock-free compare-and-swap.
-func (as *AddressSpace) TouchSlice(a Addr, s int) (PPN, bool) {
-	return as.touchFrom(a, as.sliceFrames[s])
-}
-
-func (as *AddressSpace) touchFrom(a Addr, frames *FrameAllocator) (PPN, bool) {
 	vpn := as.VPNOf(a)
 	if ppn, ok := as.pt.Translate(vpn); ok {
 		return ppn, false
@@ -444,7 +393,7 @@ func (as *AddressSpace) touchFrom(a Addr, frames *FrameAllocator) (PPN, bool) {
 	base := vpn &^ (n - 1)
 	var frame PPN
 	if as.allocMode != AllocContig {
-		frame = frames.AllocN(int(n))
+		frame = as.frames.AllocN(int(n))
 	}
 	var out PPN
 	for off := VPN(0); off < n; off++ {
