@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -69,6 +70,22 @@ func TestChurnArrivalsComplete(t *testing.T) {
 		if tr.Cycles <= tr.StartCycle {
 			t.Errorf("arrival %s finished at %d before starting at %d", tr.Name, tr.Cycles, tr.StartCycle)
 		}
+	}
+}
+
+// TestChurnControllerWorkerInvariant: controller + churn cells running side
+// by side, as sweep workers run them, each match a lone run bit for bit —
+// the simulator keeps no state outside its own Simulator.
+func TestChurnControllerWorkerInvariant(t *testing.T) {
+	cc := control.Config{Period: 256, Cooldown: 1}
+	want := churnResult(t, &cc, 1)
+	for w := 0; w < 4; w++ {
+		t.Run(fmt.Sprintf("worker%d", w), func(t *testing.T) {
+			t.Parallel()
+			if r := churnResult(t, &cc, 1); !reflect.DeepEqual(want, r) {
+				t.Error("concurrent run diverged from the lone run")
+			}
+		})
 	}
 }
 

@@ -1,12 +1,14 @@
 package simtest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"gputlb/internal/arch"
 	"gputlb/internal/cache"
 	"gputlb/internal/multi"
+	"gputlb/internal/parallel"
 	"gputlb/internal/sched"
 	"gputlb/internal/sim"
 	"gputlb/internal/tlb"
@@ -124,6 +126,53 @@ func TestModelConservationLaws(t *testing.T) {
 				t.Errorf("walks %d exceed L1 TLB misses %d", r.Walks, misses)
 			}
 		})
+	}
+}
+
+// histQuantile returns the upper bound of the power-of-two bucket holding
+// the q-quantile of the translation-latency histogram.
+func histQuantile(h [16]int64, q float64) int64 {
+	var total int64
+	for _, n := range h {
+		total += n
+	}
+	if total == 0 {
+		return 0
+	}
+	target := int64(q * float64(total))
+	var seen int64
+	for i, n := range h {
+		seen += n
+		if seen > target {
+			return 1 << uint(i+1)
+		}
+	}
+	return 1 << 16
+}
+
+// TestHistogramQuantilesInvariant: the translation-latency distribution's
+// quantiles are identical whether the cell runs alone or beside copies of
+// itself on the cell pool — a coarser, more interpretable restatement of
+// byte-identity that would survive a registry format change.
+func TestHistogramQuantilesInvariant(t *testing.T) {
+	b := soloBuild(t, "bfs", func(*arch.Config) {})
+	want := runCell(t, b)
+	for _, w := range []int{2, 4} {
+		got, err := parallel.Map(context.Background(), parallel.Options{Workers: w}, w,
+			func(context.Context, int) (sim.Result, error) {
+				r, _, _, err := Run(b, false)
+				return r, err
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range got {
+			for _, q := range []float64{0.5, 0.9, 0.99} {
+				if g, wq := histQuantile(r.TranslationLatency, q), histQuantile(want.TranslationLatency, q); g != wq {
+					t.Errorf("workers=%d copy %d: p%.0f = %d, want %d", w, i, q*100, g, wq)
+				}
+			}
+		}
 	}
 }
 

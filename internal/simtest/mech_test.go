@@ -41,6 +41,28 @@ func TestMechSerialDeterminism(t *testing.T) {
 	}
 }
 
+// TestMechWorkerMatrix: each mechanism's stats snapshot and trace stream are
+// byte-identical across worker counts — mechanism side tables (sub-slots,
+// predictor counters, run bounds) are private to one simulator, never
+// shared with the cells running beside it.
+func TestMechWorkerMatrix(t *testing.T) {
+	for _, mc := range mechConfigs {
+		t.Run(mc.mech, func(t *testing.T) {
+			CheckWorkerInvariance(t, soloBuild(t, "bfs", mechMut(mc.mech, mc.alloc)), nil, true)
+		})
+	}
+}
+
+// TestMechMultiTenantMatrix: the multi-tenant cells of the mechanism study
+// are worker-invariant too, cross-ASID sub-entry state included.
+func TestMechMultiTenantMatrix(t *testing.T) {
+	for _, mc := range mechConfigs {
+		t.Run(mc.mech, func(t *testing.T) {
+			CheckWorkerInvariance(t, mechMultiBuild(t, mc.mech, mc.alloc), nil, true)
+		})
+	}
+}
+
 // mechMultiBuild returns a Build for a two-tenant co-run on a fully shared
 // L2 TLB under the given mechanism — the regime where sub-entry sharing
 // actually shares tags across ASIDs.

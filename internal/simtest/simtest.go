@@ -2,9 +2,11 @@ package simtest
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
+	"gputlb/internal/parallel"
 	"gputlb/internal/sim"
 	"gputlb/internal/stats"
 )
@@ -65,5 +67,46 @@ func CheckSerialUnchanged(t testing.TB, b Build) {
 	}
 	if !bytes.Equal(aTrace, cTrace) {
 		t.Error("two runs diverged in their trace streams")
+	}
+}
+
+// trial is one Run's stats snapshot and trace stream.
+type trial struct{ stats, trace []byte }
+
+// CheckWorkerInvariance runs b alone, then runs w copies of it at once on a
+// w-worker internal/parallel cell pool for each w in workers ({2, 4} when
+// nil), and fails t unless every copy's stats snapshot — and, with
+// withTrace, its full trace stream — is byte-identical to the lone run.
+// Concurrent cells share the cached workloads and their address spaces, as
+// they do in every sweep, so this checks that no cell's outcome depends on
+// what the cells beside it do.
+func CheckWorkerInvariance(t testing.TB, b Build, workers []int, withTrace bool) {
+	t.Helper()
+	if workers == nil {
+		workers = []int{2, 4}
+	}
+	_, wantStats, wantTrace, err := Run(b, withTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workers {
+		got, err := parallel.Map(context.Background(), parallel.Options{Workers: w}, w,
+			func(context.Context, int) (trial, error) {
+				_, st, tr, err := Run(b, withTrace)
+				return trial{st, tr}, err
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range got {
+			if !bytes.Equal(g.stats, wantStats) {
+				t.Errorf("workers=%d copy %d: stats snapshot diverged from the lone run (%d vs %d bytes)",
+					w, i, len(g.stats), len(wantStats))
+			}
+			if withTrace && !bytes.Equal(g.trace, wantTrace) {
+				t.Errorf("workers=%d copy %d: trace stream diverged from the lone run (%d vs %d bytes)",
+					w, i, len(g.trace), len(wantTrace))
+			}
+		}
 	}
 }
