@@ -2,7 +2,7 @@
 #
 #   make            vet + build + test (the tier-1 gate)
 #   make ci         everything CI runs: vet, build, race-detector suite,
-#                   the decoder fuzz seed corpus, docs lint, the
+#                   every fuzz target's seed corpus, docs lint, the
 #                   benchmark self-test and the mechanism smoke
 #   make test-race  full suite under the race detector
 #   make bench      regenerate every figure at experiment scale
@@ -23,7 +23,7 @@
 #   make fabric-smoke run the distributed-sweep drill under the race
 #                   detector: a coordinator with two in-process workers,
 #                   one killed mid-job, asserting the result file is
-#                   byte-identical to a single-daemon run
+#                   byte-identical to the in-process oracle
 #   make fuzz       a short decoder fuzz run
 #   make golden     refresh the golden stats snapshot after an intentional
 #                   timing-model change (inspect the diff before committing)
@@ -95,18 +95,20 @@ mech-smoke:
 # fabric-smoke is the distributed-sweep drill: coordinator + two
 # in-process workers over real HTTP, one worker killed mid-job (dispatch
 # failures, heartbeat expiry, re-dispatch of unacked cells), and the
-# survivor still delivers a result file byte-identical to a
-# single-daemon run — all under the race detector.
+# survivor still delivers a result file byte-identical to the in-process
+# oracle (jobs.EncodeResult over jobs.RunCell) — all under the race
+# detector.
 fabric-smoke:
 	$(GO) test -race -count=1 -run TestFabricSmoke ./internal/fabric/
 
 fuzz:
 	$(GO) test -fuzz FuzzReadKernel -fuzztime 10s ./internal/trace/
 
-# fuzz-seeds replays only the checked-in seed corpus (no mutation budget),
-# which is deterministic and fast enough for every CI run.
+# fuzz-seeds replays the seed corpus of every Fuzz* target (f.Add seeds
+# and testdata/fuzz/, no mutation budget), which is deterministic and fast
+# enough for every CI run.
 fuzz-seeds:
-	$(GO) test -run FuzzReadKernel ./internal/trace/
+	$(GO) test -run '^Fuzz' ./...
 
 # golden refreshes the stats snapshot pinned by TestGoldenStats.
 golden:

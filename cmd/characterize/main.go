@@ -11,9 +11,9 @@
 //	characterize -bench bfs,mvt -fig 5
 //	characterize -daemon http://localhost:8372 -fig 2   # simulate on a gputlbd
 //
-// The -daemon URL may equally point at a fabric coordinator (gputlbd
-// -coordinator): the /jobs API is identical and the distributed run's
-// result artifact is byte-identical to a single daemon's.
+// The -daemon URL may point at any gputlbd server, default or
+// -coordinator with remote workers: the /jobs API is the same, and the
+// result artifact is byte-identical to an in-process run's.
 package main
 
 import (

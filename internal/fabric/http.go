@@ -11,9 +11,8 @@ import (
 	"gputlb/internal/stats"
 )
 
-// Handler returns the coordinator's HTTP API. The /jobs surface is the
-// single-process daemon's, unchanged — clients (evaluate -daemon,
-// characterize -daemon, curl) work against either — plus the fabric
+// Handler returns the coordinator's HTTP API: the /jobs surface clients
+// (evaluate -daemon, characterize -daemon, curl) use, plus the fabric
 // endpoints workers use:
 //
 //	POST /jobs                  submit a JobSpec; 202 {"id": ...}, 429
@@ -27,7 +26,8 @@ import (
 //	                            re-register
 //	GET  /workers               registered workers with lease/progress info
 //	POST /results               worker result batches (at-least-once;
-//	                            deduplicated), acked only after journaling
+//	                            deduplicated), acked only after journaling;
+//	                            400 for a batch with an invalid outcome
 //	GET  /healthz               liveness probe
 //	GET  /metrics               coordinator metrics: flat "path value"
 //	                            text, or the stats snapshot JSON with
@@ -139,13 +139,17 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding result batch: %w", err))
 		return
 	}
-	if err := c.ingestOutcomes(batch); err != nil {
+	err := c.ingestOutcomes(batch)
+	switch {
+	case errors.Is(err, errBadOutcome):
+		writeError(w, http.StatusBadRequest, err)
+	case err != nil:
 		// Journal write failed: nothing was acknowledged durably; the
 		// worker's batcher retries the whole batch.
 		writeError(w, http.StatusInternalServerError, err)
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]int{"acked": len(batch.Outcomes)})
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"acked": len(batch.Outcomes)})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -161,8 +165,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // writeMetrics renders a stats snapshot as flat "path value" text, or as
-// the full snapshot JSON with ?format=json — the same wire format the
-// single-process daemon serves.
+// the full snapshot JSON with ?format=json.
 func writeMetrics(w http.ResponseWriter, r *http.Request, snap *stats.Snapshot) {
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")

@@ -14,6 +14,7 @@ import (
 
 	"gputlb/internal/jobs"
 	"gputlb/internal/stats"
+	"gputlb/internal/workloads"
 )
 
 // WorkerOptions configures a fabric worker daemon.
@@ -30,6 +31,11 @@ type WorkerOptions struct {
 	// attempt (zero: 100ms).
 	MaxAttempts  int
 	RetryBackoff time.Duration
+	// CellTimeout, when positive, fails a cell attempt that runs longer,
+	// so a wedged cell becomes a retryable failure. The attempt's
+	// goroutine cannot be interrupted mid-simulation; it finishes in the
+	// background and its result is discarded.
+	CellTimeout time.Duration
 	// FlushSize and FlushWait tune the result batcher: a flush fires at
 	// FlushSize outcomes (zero: 32) or FlushWait after the oldest
 	// buffered outcome (zero: 50ms), whichever comes first.
@@ -39,7 +45,8 @@ type WorkerOptions struct {
 	// under the coordinator's lease timeout.
 	HeartbeatEvery time.Duration
 	// Registry, when non-nil, receives the worker's metrics under a
-	// "worker" child; nil creates a private registry.
+	// "worker" child and the trace cache's under "trace_cache"; nil
+	// creates a private registry.
 	Registry *stats.Registry
 	// HTTPClient overrides http.DefaultClient for coordinator calls.
 	HTTPClient *http.Client
@@ -85,9 +92,8 @@ type workerMetrics struct {
 // Worker runs cells dispatched by a coordinator: it registers itself,
 // heartbeats, accepts POST /cells batches onto a bounded local pool, and
 // flushes completed cells back through the size + max-wait batcher. The
-// cell execution path is jobs.RunCell — exactly the single-process
-// daemon's runner — so a distributed sweep computes cell-for-cell what a
-// single box would.
+// cell execution path is jobs.RunCell, so a sweep computes cell for cell
+// what an in-process run would, whichever worker runs each cell.
 type Worker struct {
 	opt WorkerOptions
 	reg *stats.Registry
@@ -99,7 +105,9 @@ type Worker struct {
 	mu sync.Mutex
 	id string // current registration; "" before the first register
 
-	runCh   chan AssignedCell
+	// runCh carries pointers: a 4096-deep buffer of AssignedCell values
+	// would allocate ~750 KB at startup.
+	runCh   chan *AssignedCell
 	batcher *Batcher[CellOutcome]
 	wg      sync.WaitGroup
 }
@@ -114,7 +122,7 @@ func NewWorker(opt WorkerOptions) *Worker {
 	w := &Worker{
 		opt:   opt,
 		reg:   reg,
-		runCh: make(chan AssignedCell, 4096),
+		runCh: make(chan *AssignedCell, 4096),
 	}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	w.batcher = NewBatcher(opt.FlushSize, opt.FlushWait, w.flushOutcomes)
@@ -127,6 +135,7 @@ func NewWorker(opt WorkerOptions) *Worker {
 	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
 	wr.CounterFunc("registrations", w.met.registrations.Load)
 	wr.GaugeFunc("queue_depth", func() float64 { return float64(len(w.runCh)) })
+	workloads.RegisterCacheStats(reg.Child("trace_cache"))
 	return w
 }
 
@@ -152,17 +161,24 @@ func (w *Worker) Start() error {
 	if err := w.register(); err != nil {
 		return fmt.Errorf("fabric: joining %s: %w", w.opt.CoordinatorURL, err)
 	}
+	w.launch()
+	return nil
+}
+
+// launch starts the runner pool and the heartbeat loop of a registered
+// worker.
+func (w *Worker) launch() {
 	for i := 0; i < w.opt.Parallelism; i++ {
 		w.wg.Add(1)
 		go w.runner()
 	}
 	w.wg.Add(1)
 	go w.heartbeatLoop()
-	return nil
 }
 
-// Close stops accepting work, flushes buffered results, and waits for
-// in-flight cells to finish.
+// Close stops taking cells, waits for in-flight cells to finish, and
+// flushes their results. Queued cells and cells cut off mid-retry are
+// not reported; they stay leased until the coordinator requeues them.
 func (w *Worker) Close() {
 	w.cancel()
 	w.wg.Wait()
@@ -235,7 +251,13 @@ func (w *Worker) runner() {
 		case <-w.ctx.Done():
 			return
 		case cell := <-w.runCh:
-			out := w.runCell(cell)
+			if w.ctx.Err() != nil {
+				return
+			}
+			out, ok := w.runCell(*cell)
+			if !ok {
+				return
+			}
 			w.met.cellsRun.Add(1)
 			if out.Error != "" {
 				w.met.cellsFailed.Add(1)
@@ -248,34 +270,63 @@ func (w *Worker) runner() {
 // runCell tries one cell up to MaxAttempts times with exponential
 // backoff. Cells are pure functions of their spec, so a retry after a
 // transient failure (or a replay after a lost ack) recomputes the
-// identical result.
-func (w *Worker) runCell(cell AssignedCell) CellOutcome {
+// identical result. ok is false when Close cut the retries short: the
+// cell was cancelled, not failed, so no outcome is reported and a
+// resumed job re-runs it.
+func (w *Worker) runCell(cell AssignedCell) (out CellOutcome, ok bool) {
 	backoff := w.opt.RetryBackoff
 	for attempt := 1; ; attempt++ {
 		res, err := w.runOnce(cell.Spec, attempt)
 		if err == nil {
-			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Result: &res}
+			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Result: &res}, true
 		}
-		if attempt >= w.opt.MaxAttempts || w.ctx.Err() != nil {
-			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Error: err.Error()}
+		if w.ctx.Err() != nil {
+			return CellOutcome{}, false
+		}
+		if attempt >= w.opt.MaxAttempts {
+			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Error: err.Error()}, true
 		}
 		w.met.cellsRetried.Add(1)
 		select {
 		case <-time.After(backoff):
 		case <-w.ctx.Done():
-			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Error: err.Error()}
+			return CellOutcome{}, false
 		}
 		backoff *= 2
 	}
 }
 
+// runOnce runs a single attempt, applying the fault-injection hook and
+// the per-cell timeout.
 func (w *Worker) runOnce(spec jobs.CellSpec, attempt int) (jobs.CellResult, error) {
-	if hook := w.opt.InjectCellError; hook != nil {
-		if err := hook(spec, attempt); err != nil {
-			return jobs.CellResult{}, err
+	run := func() (jobs.CellResult, error) {
+		if hook := w.opt.InjectCellError; hook != nil {
+			if err := hook(spec, attempt); err != nil {
+				return jobs.CellResult{}, err
+			}
 		}
+		return jobs.RunCell(spec)
 	}
-	return jobs.RunCell(spec)
+	if w.opt.CellTimeout <= 0 {
+		return run()
+	}
+	type outcome struct {
+		res jobs.CellResult
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := run()
+		ch <- outcome{res, err}
+	}()
+	t := time.NewTimer(w.opt.CellTimeout)
+	defer t.Stop()
+	select {
+	case o := <-ch:
+		return o.res, o.err
+	case <-t.C:
+		return jobs.CellResult{}, fmt.Errorf("fabric: cell %s[%s] timed out after %v", spec.Bench, spec.Config, w.opt.CellTimeout)
+	}
 }
 
 // flushOutcomes delivers one result batch to the coordinator, retrying
@@ -352,9 +403,9 @@ func (w *Worker) handleCells(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusTooManyRequests, fmt.Errorf("fabric: worker queue full (%d cells buffered)", len(w.runCh)))
 		return
 	}
-	for _, cell := range batch.Cells {
+	for i := range batch.Cells {
 		w.met.cellsReceived.Add(1)
-		w.runCh <- cell
+		w.runCh <- &batch.Cells[i]
 	}
 	writeJSON(rw, http.StatusAccepted, map[string]int{"accepted": len(batch.Cells)})
 }

@@ -15,11 +15,8 @@ import (
 // job. The first record is the normalized spec; every completed cell
 // appends a record before it counts as done; a terminal record marks the
 // job done or failed. Loading tolerates a torn final line — the artifact
-// of a process killed mid-append — by dropping it.
-//
-// The journal API is exported so the fabric coordinator (internal/fabric)
-// journals distributed progress in the exact same format: a coordinator
-// journal resumes under a single-process manager and vice versa.
+// of a process killed mid-append — by dropping it. The job server
+// (internal/fabric's Coordinator) writes and resumes these files.
 
 const (
 	journalSuffix = ".journal"
@@ -39,8 +36,8 @@ type journalRecord struct {
 	Result   *CellResult `json:"result,omitempty"`
 	Error    string      `json:"error,omitempty"`
 	// Worker attributes a cell outcome to the fabric worker (or "cache")
-	// that produced it; empty for single-process manager runs, keeping the
-	// legacy journal format byte-stable.
+	// that produced it. Empty in journals written before the job server
+	// was the coordinator; those still load and resume.
 	Worker string `json:"worker,omitempty"`
 	// End-record field: number of permanently failed cells.
 	Failed int `json:"failed,omitempty"`
@@ -100,8 +97,7 @@ func (j *Journal) append(rec journalRecord) error {
 }
 
 // AppendCell records a completed cell. worker attributes the outcome to a
-// fabric worker id (or "cache" for a cache-served cell); pass "" from the
-// single-process manager.
+// fabric worker id (or "cache" for a cache-served cell).
 func (j *Journal) AppendCell(idx, attempts int, worker string, res CellResult) error {
 	return j.append(journalRecord{Type: "cell", Index: idx, Attempts: attempts, Worker: worker, Result: &res})
 }
@@ -176,7 +172,8 @@ func shardedSpec(line []byte) (removedEngine, bool) {
 
 // LoadJournal parses a job journal. A final line that does not parse is
 // dropped (torn write from a kill); a malformed line elsewhere is an
-// error, as is a missing or invalid spec header. An unfinished journal
+// error, as is a missing or invalid spec header or a cell record whose
+// index is outside the spec's cells. An unfinished journal
 // whose spec asks for the removed sharded engine is an error too: resuming
 // it would finish its remaining cells on the serial engine and mix two
 // models in one result.
@@ -218,12 +215,15 @@ func LoadJournal(path string) (*JournalState, error) {
 			}
 			st.ID, st.Name, st.Spec = rec.ID, rec.Name, rec.Spec
 			engine, sharded = shardedSpec(line)
-		case "cell":
-			if rec.Result != nil {
+		case "cell", "fail":
+			if st.Spec == nil || rec.Index < 0 || rec.Index >= len(st.Spec.Cells) {
+				return nil, fmt.Errorf("jobs: %s line %d: %s record for cell %d, outside the spec's cells", path, i+1, rec.Type, rec.Index)
+			}
+			if rec.Type == "fail" {
+				st.Failed[rec.Index] = rec.Error
+			} else if rec.Result != nil {
 				st.Completed[rec.Index] = *rec.Result
 			}
-		case "fail":
-			st.Failed[rec.Index] = rec.Error
 		case "end":
 			st.Terminal = true
 			st.EndFailed = rec.Failed
@@ -267,8 +267,8 @@ func ScanJournals(dir string) ([]*JournalState, error) {
 
 // EncodeResult renders the canonical result artifact. The encoding is the
 // byte-identity contract: indented JSON of Result with a trailing newline.
-// Every execution path — in-process manager, resumed manager, fabric
-// coordinator — funnels through this one encoder, which is what makes
+// Every execution path — the job server, a resumed job, an in-process
+// reference run — funnels through this one encoder, which is what makes
 // "byte-identical result file" a checkable property rather than a hope.
 func EncodeResult(res Result) ([]byte, error) {
 	out, err := json.MarshalIndent(res, "", "  ")

@@ -135,3 +135,37 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 		t.Errorf("mid-file corruption should be an error naming the line, got %v", err)
 	}
 }
+
+// TestJournalRejectsOutOfRangeCell: a cell or fail record whose index is
+// outside the spec's cells is an error naming its line. Accepting it let
+// a resumed job count the stray record toward completion and finish with
+// a real cell never run.
+func TestJournalRejectsOutOfRangeCell(t *testing.T) {
+	for _, rec := range []string{
+		`{"type":"cell","index":5,"attempts":1,"result":{"bench":"atax","config":"sched","cycles":1}}`,
+		`{"type":"cell","index":-1,"attempts":1,"result":{"bench":"atax","config":"sched","cycles":1}}`,
+		`{"type":"fail","index":2,"attempts":3,"error":"boom"}`,
+	} {
+		dir := t.TempDir()
+		j, err := CreateJournal(dir, "job-0001", "range", testSpec(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendCell(0, 1, "", CellResult{Bench: "atax", Config: "baseline", Cycles: 1}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		path := JournalPath(dir, "job-0001")
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(rec + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if _, err := LoadJournal(path); err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("journal with %s loaded with error %v, want one naming line 3", rec, err)
+		}
+	}
+}
